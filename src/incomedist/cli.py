@@ -21,7 +21,8 @@ import numpy as np
 from incomedist.empirics import (
     EmpiricalCCDF,
     ParseError,
-    find_scale_factor,
+    _overlap_factor,
+    _write_csv,
     forbes_incomes,
     fuse,
     load_incomes,
@@ -36,6 +37,7 @@ from incomedist.estimate import (
 )
 from incomedist.inequality import compute_stats, gini
 from incomedist.model import (
+    _PARAM_KEYS,
     LangevinCoeffs,
     ModelParams,
     TailDivergenceError,
@@ -48,7 +50,6 @@ from incomedist.simulate import SimConfig, StabilityError, ks_distance, run_ense
 
 __all__ = ["main"]
 
-_PARAM_KEYS = {"T", "T1", "alpha", "alpha1", "m0", "m1", "m_init"}
 _COEFF_KEYS = {"A0", "a", "A0_hi", "a_hi", "B0", "b"}
 
 
@@ -61,10 +62,9 @@ def _out_path(args) -> str:
     return args.output if args.output else args.default_output
 
 
-def _write_lines(path: str, lines) -> None:
+def _write_line(path: str, line: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(line + "\n")
 
 
 def _load_params(path: str) -> ModelParams:
@@ -82,8 +82,7 @@ def _load_any_ccdf(path: str) -> EmpiricalCCDF:
 
 
 def cmd_ccdf(args) -> int:
-    records = load_incomes(args.incomes)
-    ccdf = rank_ccdf(records)
+    ccdf = rank_ccdf(load_incomes(args.incomes))
     out = _out_path(args)
     ccdf.to_csv(out)
     _say(args, f"wrote {out} ({ccdf.n} points)")
@@ -92,21 +91,16 @@ def cmd_ccdf(args) -> int:
 
 def cmd_fuse(args) -> int:
     survey = load_incomes(args.survey)
-    pairs = load_wealth_pairs(args.wealth)
-    rich = forbes_incomes(pairs)
+    rich = forbes_incomes(load_wealth_pairs(args.wealth))
     factor = args.factor
     if factor is None:
-        if not rich:
+        if not rich.size:
             print("error: empty rich list and no --factor given", file=sys.stderr)
             return 2
-        if args.cut is not None:
-            seg = [r for r in survey if r.income > args.cut]
-        else:
-            seg = sorted(survey, key=lambda r: r.income)[-args.top_k:]
-        factor = find_scale_factor(seg, rich)
+        factor = _overlap_factor(survey, rich, cut=args.cut, top_k=args.top_k)
     fused = fuse(survey, rich, factor=factor)
     out = _out_path(args)
-    _write_lines(out, ["income"] + [repr(r.income) for r in fused])
+    _write_csv(out, "income", fused)
     print(f"factor: {factor!r}")
     _say(args, f"wrote {out} ({len(fused)} incomes; {len(rich)} from the rich list)")
     return 0
@@ -122,7 +116,7 @@ def cmd_fit(args) -> int:
         print(f"error: estimation failed: {exc}", file=sys.stderr)
         return 3
     out = _out_path(args)
-    _write_lines(out, [report.to_json()])
+    _write_line(out, report.to_json())
     _say(args, report.summary())
     _say(args, f"wrote {out}")
     return 0
@@ -144,18 +138,18 @@ def cmd_eval(args) -> int:
     grid[0] = lo  # geomspace endpoint roundoff
     pi = ccdf_eval_many(params, grid)
     out = _out_path(args)
-    _write_lines(out, ["income,ccdf"]
-                 + [f"{m!r},{v!r}" for m, v in zip(grid.tolist(), pi.tolist())])
+    _write_csv(out, "income,ccdf", grid, pi)
     _say(args, f"wrote {out} ({n} points, {lo:.6g} to {hi:.6g})")
     return 0
 
 
 def cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        text = fh.read()
+    obj = json.loads(text)
     params = None
-    if _PARAM_KEYS.issubset(obj):
-        params = normalize(ModelParams.from_json(json.dumps(obj)))
+    if "params" in obj or set(_PARAM_KEYS).issubset(obj):
+        params = ModelParams.from_json(text)
         coeffs = effective_to_coeffs(params)
         m1, m_init = params.m1, params.m_init
     elif _COEFF_KEYS.issubset(obj):
@@ -201,12 +195,12 @@ def cmd_stats(args) -> int:
     out = _out_path(args)
     if args.params is None:
         g = gini(incomes)
-        _write_lines(out, [json.dumps({"gini": g, "n": len(incomes)}, sort_keys=True)])
+        _write_line(out, json.dumps({"gini": g, "n": len(incomes)}, sort_keys=True))
         _say(args, f"gini {g:.4f} over {len(incomes)} incomes")
     else:
         params = _load_params(args.params)
         stats = compute_stats(params, incomes)
-        _write_lines(out, [stats.to_json()])
+        _write_line(out, stats.to_json())
         _say(args, stats.table())
     _say(args, f"wrote {out}")
     return 0
@@ -220,7 +214,7 @@ def cmd_rank(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _out_path(args)
-    _write_lines(out, [json.dumps(dataclasses.asdict(rf), sort_keys=True)])
+    _write_line(out, json.dumps(dataclasses.asdict(rf), sort_keys=True))
     _say(args, f"alpha_rank {rf.alpha_rank:.4f}  alpha_pareto {rf.alpha_pareto:.4f} "
                f"+- {rf.stderr:.4f}")
     _say(args, f"wrote {out}")

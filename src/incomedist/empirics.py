@@ -12,8 +12,10 @@ record (no binning) and never produces p = 0 or p = 1.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -77,14 +79,58 @@ class WealthPair:
                 raise ValueError(f"{name} must be >= 0 and finite, got {v}")
 
 
-def _incomes_array(records) -> np.ndarray:
+def _incomes_array(incomes) -> np.ndarray:
+    """Incomes as a 1-d float64 array, from an array, plain numbers or IncomeRecords."""
     try:
-        arr = np.asarray(records, dtype=float)
+        arr = np.asarray(incomes, dtype=float)
     except (TypeError, ValueError):
-        arr = np.array([r.income for r in records], dtype=float)
+        arr = np.array([r.income for r in incomes], dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a flat sequence of incomes")
     return arr
+
+
+def _positive_finite(arr: np.ndarray) -> bool:
+    # min/max propagate NaN, and NaN compares false
+    return arr.size > 0 and arr.min() > 0.0 and arr.max() < np.inf
+
+
+# numpy's loader opens paths with these suffixes through a decompressor,
+# which the line readers do not
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _fast_table(path, header: str, delimiter: str | None) -> np.ndarray | None:
+    """A CSV as a 2-d float array from numpy's C parser, or None where it refuses.
+
+    The header is skipped only on physical line 1, as the line readers do.
+    None sends the caller to its line reader, which reports the fault, or
+    reads the rare input that Python's float accepts and numpy does not
+    (digit-group underscores, non-ASCII digits).
+    """
+    with open(path, encoding="utf-8") as fh:
+        skip = int(fh.readline().strip().lower() == header)
+    # numpy parses in C only from a path given as str; an absolute one is
+    # never taken for a URL
+    name = os.path.abspath(os.fsdecode(path))
+    if name.endswith(_COMPRESSED):
+        return None
+    with warnings.catch_warnings():
+        # an empty file: the line reader warns in the package's terms
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(name, dtype=float, delimiter=delimiter, comments=None,
+                              skiprows=skip, ndmin=2, encoding="utf-8")
+        except ValueError:
+            return None
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """A header line, then one line of comma-joined repr floats per row, LF endings."""
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(chain([header], rows, [""])))
 
 
 @dataclass(frozen=True)
@@ -121,63 +167,66 @@ class EmpiricalCCDF:
         return list(zip(self.incomes.tolist(), self.p.tolist()))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("income,ccdf\n")
-            for m, p in zip(self.incomes.tolist(), self.p.tolist()):
-                fh.write(f"{m!r},{p!r}\n")
+        _write_csv(path, "income,ccdf", self.incomes, self.p)
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalCCDF":
-        incomes, ps = [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text:
-                    continue
-                if lineno == 1 and text.lower() == "income,ccdf":
-                    continue
-                parts = text.split(",")
-                if len(parts) != 2:
-                    raise ParseError("expected two comma-separated fields", lineno)
-                try:
-                    incomes.append(float(parts[0]))
-                except ValueError:
-                    raise ParseError(f"bad income {parts[0]!r}", lineno, 1) from None
-                try:
-                    ps.append(float(parts[1]))
-                except ValueError:
-                    raise ParseError(f"bad ccdf value {parts[1]!r}", lineno, 2) from None
-        if not incomes:
-            warnings.warn(f"no data rows in {path}", EmptyFileWarning, stacklevel=2)
-            raise ValueError(f"empty CCDF file: {path}")
-        return cls(incomes=np.array(incomes), p=np.array(ps))
+        """Read an `income,ccdf` table; malformed rows raise ParseError."""
+        table = _fast_table(path, "income,ccdf", ",")
+        if table is None or table.shape[0] == 0 or table.shape[1] != 2:
+            incomes, ps = _read_ccdf_lines(path)
+        else:
+            incomes, ps = table[:, 0].copy(), table[:, 1].copy()
+        return cls(incomes=incomes, p=ps)
 
 
-def rank_ccdf(records) -> EmpiricalCCDF:
+def _read_ccdf_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line reader of `from_csv`: the reference grammar and its error reports."""
+    incomes, ps = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            if lineno == 1 and text.lower() == "income,ccdf":
+                continue
+            parts = text.split(",")
+            if len(parts) != 2:
+                raise ParseError("expected two comma-separated fields", lineno)
+            try:
+                incomes.append(float(parts[0]))
+            except ValueError:
+                raise ParseError(f"bad income {parts[0]!r}", lineno, 1) from None
+            try:
+                ps.append(float(parts[1]))
+            except ValueError:
+                raise ParseError(f"bad ccdf value {parts[1]!r}", lineno, 2) from None
+    if not incomes:
+        warnings.warn(f"no data rows in {path}", EmptyFileWarning, stacklevel=3)
+        raise ValueError(f"empty CCDF file: {path}")
+    return np.array(incomes), np.array(ps)
+
+
+def rank_ccdf(incomes) -> EmpiricalCCDF:
     """Weibull plotting positions: the l-th richest of n gets p = l/(n+1).
 
-    Sort is stable and descending, so tied incomes keep their input order and
-    receive consecutive ranks.  Output size equals input size.
+    Tied incomes are equal values, so they receive consecutive ranks in any
+    order.  Output size equals input size.
     """
-    arr = _incomes_array(records)
+    arr = _incomes_array(incomes)
     if arr.size == 0:
         raise ValueError("need at least one record")
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    if not _positive_finite(arr):
         raise ValueError("incomes must be positive and finite")
-    order = np.argsort(-arr, kind="stable")
     n = arr.size
     ranks = np.arange(1, n + 1, dtype=float)
-    return EmpiricalCCDF(incomes=arr[order], p=ranks / (n + 1.0))
+    return EmpiricalCCDF(incomes=-np.sort(-arr), p=ranks / (n + 1.0))
 
 
-def forbes_incomes(pairs) -> list[IncomeRecord]:
+def forbes_incomes(pairs) -> np.ndarray:
     """Year-over-year wealth gains as effective incomes; losses are dropped."""
-    out = []
-    for pair in pairs:
-        diff = pair.wealth_curr - pair.wealth_prev
-        if diff > 0.0:
-            out.append(IncomeRecord(income=diff))
-    return out
+    gains = np.array([p.wealth_curr - p.wealth_prev for p in pairs], dtype=float)
+    return gains[gains > 0.0]
 
 
 def find_scale_factor(survey_high, rich_list) -> float:
@@ -201,8 +250,24 @@ def find_scale_factor(survey_high, rich_list) -> float:
     return s
 
 
+def _overlap_factor(survey: np.ndarray, rich: np.ndarray, *,
+                    cut: float | None, top_k: int) -> float:
+    """find_scale_factor on the survey's high-income segment.
+
+    The segment is the survey incomes above `cut` if given, else the top_k.
+    """
+    if cut is not None:
+        seg = survey[survey > cut]
+    else:
+        k = int(top_k)
+        if k < 1:
+            raise ValueError("top_k must be >= 1")
+        seg = np.sort(survey)[-k:]
+    return find_scale_factor(seg, rich)
+
+
 def fuse(survey, rich_incomes, factor: float | None = None, *,
-         cut: float | None = None, top_k: int = 6) -> list[IncomeRecord]:
+         cut: float | None = None, top_k: int = 6) -> np.ndarray:
     """Concatenate survey incomes with factor-scaled rich-list incomes.
 
     When factor is None it is derived by find_scale_factor from the survey's
@@ -214,29 +279,35 @@ def fuse(survey, rich_incomes, factor: float | None = None, *,
         raise ValueError("survey must be non-empty")
     rich_arr = _incomes_array(rich_incomes)
     if rich_arr.size == 0:
-        return [IncomeRecord(income=float(m)) for m in survey_arr]
-    if factor is None:
-        if cut is not None:
-            seg = survey_arr[survey_arr > cut]
-        else:
-            k = min(int(top_k), survey_arr.size)
-            if k < 1:
-                raise ValueError("top_k must be >= 1")
-            seg = np.sort(survey_arr)[-k:]
-        factor = find_scale_factor(seg, rich_arr)
-    if not (factor > 0.0 and isfinite(factor)):
-        raise ValueError(f"scale factor must be positive, got {factor}")
-    fused = np.concatenate([survey_arr, factor * rich_arr])
-    return [IncomeRecord(income=float(m)) for m in fused]
+        fused = survey_arr.copy()
+    else:
+        if factor is None:
+            factor = _overlap_factor(survey_arr, rich_arr, cut=cut, top_k=top_k)
+        if not (factor > 0.0 and isfinite(factor)):
+            raise ValueError(f"scale factor must be positive, got {factor}")
+        fused = np.concatenate([survey_arr, factor * rich_arr])
+    if not _positive_finite(fused):
+        raise ValueError("incomes must be positive and finite")
+    return fused
 
 
-def load_incomes(path) -> list[IncomeRecord]:
-    """Read a one-column income CSV: one positive decimal per line.
+def load_incomes(path) -> np.ndarray:
+    """Read a one-column income CSV into a float64 array, one positive decimal per line.
 
-    An optional single header cell "income" is accepted.  Malformed rows
-    raise ParseError with the 1-based line number.
+    An optional single header cell "income" is accepted on line 1 and blank
+    lines are skipped.  Malformed rows raise ParseError with the 1-based line
+    number; a file without rows warns (EmptyFileWarning) and gives an empty
+    array.
     """
-    out: list[IncomeRecord] = []
+    table = _fast_table(path, "income", None)
+    if table is None or table.shape[1] != 1 or not _positive_finite(table):
+        return _read_income_lines(path)
+    return table[:, 0]
+
+
+def _read_income_lines(path) -> np.ndarray:
+    """Line-by-line reader of `load_incomes`: the reference grammar and its error reports."""
+    out: list[float] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -249,12 +320,13 @@ def load_incomes(path) -> list[IncomeRecord]:
             except ValueError:
                 raise ParseError(f"not a decimal income: {text!r}", lineno) from None
             try:
-                out.append(IncomeRecord(income=value))
+                IncomeRecord(income=value)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
+            out.append(value)
     if not out:
-        warnings.warn(f"no income rows in {path}", EmptyFileWarning, stacklevel=2)
-    return out
+        warnings.warn(f"no income rows in {path}", EmptyFileWarning, stacklevel=3)
+    return np.array(out, dtype=float)
 
 
 def load_wealth_pairs(path) -> list[WealthPair]:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from incomedist.empirics import EmpiricalCCDF
+from incomedist.empirics import EmpiricalCCDF, _incomes_array
 from incomedist.model import (
     ModelParams,
     ParetoFit,
@@ -391,10 +391,7 @@ def fit_rank(values) -> RankFit:
     from the residual increments along the rank order (see
     `_increment_stderr`), propagated through the reciprocal.
     """
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.array([v.income for v in values], dtype=float)
+    arr = _incomes_array(values)
     if arr.size < 3:
         raise EstimationError(f"need at least 3 values, got {arr.size}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):

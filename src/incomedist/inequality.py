@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from incomedist.empirics import _incomes_array
 from incomedist.model import ModelParams, ccdf_eval, quantile
 
 __all__ = [
@@ -66,13 +67,6 @@ def population_ratios(params: ModelParams) -> tuple[float, float]:
     return f_low / f_med, f_med / f_high
 
 
-def _as_income_array(records) -> np.ndarray:
-    try:
-        return np.asarray(records, dtype=float)
-    except (TypeError, ValueError):
-        return np.array([r.income for r in records], dtype=float)
-
-
 def gini(records) -> float:
     """Sample Gini coefficient on a 0..100 scale.
 
@@ -84,7 +78,7 @@ def gini(records) -> float:
     {0, x} is well defined and equals 50) even though survey records
     themselves are strictly positive.
     """
-    xs = _as_income_array(records)
+    xs = _incomes_array(records)
     if xs.size == 0:
         raise ValueError("need at least one income")
     if not np.all(np.isfinite(xs)):

@@ -171,7 +171,10 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
+        """Normalized params from flat JSON or from a fit report's nested `params`."""
         obj = json.loads(text)
+        if isinstance(obj, dict) and isinstance(obj.get("params"), dict):
+            obj = obj["params"]  # `incomedist fit` output nests the parameters
         missing = [k for k in _PARAM_KEYS if k not in obj]
         if missing:
             raise ValueError(f"parameter JSON missing keys: {missing}")
@@ -220,9 +223,15 @@ def continuity_ratio(params: ModelParams) -> float:
     """Ratio c_hi/c_lo that glues the two branches continuously at m1."""
     x1 = params.m1 / params.m0
     u1 = math.atan(x1)
-    return math.exp(params.m0 * (1.0 / params.T1 - 1.0 / params.T) * u1) * (
-        1.0 + x1 * x1
-    ) ** ((params.alpha1 - params.alpha) / 2.0)
+    try:
+        return math.exp(params.m0 * (1.0 / params.T1 - 1.0 / params.T) * u1) * (
+            1.0 + x1 * x1
+        ) ** ((params.alpha1 - params.alpha) / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"continuity ratio c_hi/c_lo overflows at m0/T1 = {params.m0 / params.T1:.6g}, "
+            f"m0/T = {params.m0 / params.T:.6g}, m1/m0 = {params.m1 / params.m0:.6g}"
+        ) from None
 
 
 def _regular_integral(k: float, alpha: float, lo: float, hi: float, rtol: float) -> float:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from incomedist.empirics import _write_csv
 from incomedist.model import LangevinCoeffs, ModelParams, ccdf_eval_many
 
 __all__ = [
@@ -119,10 +120,7 @@ class Ensemble:
             raise ValueError("all samples must be >= m_init")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("income\n")
-            for m in self.samples:
-                fh.write(f"{float(m)!r}\n")
+        _write_csv(path, "income", self.samples)
 
 
 def drift(coeffs: LangevinCoeffs, m1: float, m):

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import noiseless_ccdf
-from incomedist import EmpiricalCCDF
+from incomedist import (
+    EmpiricalCCDF,
+    ccdf_eval_many,
+    forbes_incomes,
+    fuse,
+    load_incomes,
+    load_wealth_pairs,
+)
 from incomedist.cli import main
 
 
@@ -319,3 +326,64 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------- fit.json as parameter input
+
+
+def test_fit_json_feeds_stats_eval_simulate(tmp_path, ccdf08_noiseless):
+    data, fit = tmp_path / "ccdf.csv", tmp_path / "fit.json"
+    ccdf08_noiseless.to_csv(data)
+    assert main(["fit", str(data), "--output", str(fit), "--quiet"]) == 0
+    flat = tmp_path / "flat.json"
+    _write(flat, json.dumps(json.loads(fit.read_text(encoding="utf-8"))["params"]))
+    for argv, name in ((["stats", "--params"], "stats.json"), (["eval"], "model.csv"),
+                       (["simulate", "--n-steps", "20", "--n-paths", "50"], "s.csv")):
+        outs = []
+        for pfile in (fit, flat):
+            outs.append(tmp_path / f"{pfile.stem}-{name}")
+            assert main(argv + [str(pfile), "--output", str(outs[-1]), "--quiet"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_continuity_overflow_is_input_error(tmp_path, params08, capsys):
+    # the 2008 shape with a cold upper branch: exp(m0 (1/T1 - 1/T) u1) overflows
+    obj = json.loads(params08.to_json())
+    obj["T1"] = 100.0
+    pfile = tmp_path / "cold.json"
+    _write(pfile, json.dumps(obj))
+    assert main(["stats", "--params", str(pfile), "--output", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stats:") and "m0/T1 = 1400" in err
+
+
+def test_fuse_top_k_below_one_exit2(tmp_path, capsys):
+    survey = tmp_path / "survey.csv"
+    _income_csv(survey, range(1, 11))
+    wealth = tmp_path / "wealth.csv"
+    _wealth_csv(wealth, [(0.0, 500.0)])
+    out = tmp_path / "fused.csv"
+    assert main(["fuse", str(survey), str(wealth), "--top-k", "0", "--output", str(out)]) == 2
+    assert "top_k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_and_fuse_bytes_match_per_row_output(tmp_path, params08):
+    pfile = _params_json(tmp_path, params08)
+    out = tmp_path / "model.csv"
+    assert main(["eval", str(pfile), "--grid", "0.01:1e7:37", "--output", str(out), "--quiet"]) == 0
+    grid = np.geomspace(0.01, 1e7, 37)
+    grid[0] = 0.01
+    pi = ccdf_eval_many(params08, grid)
+    expect = "income,ccdf\n" + "".join(f"{m!r},{v!r}\n" for m, v in zip(grid.tolist(), pi.tolist()))
+    assert out.read_bytes() == expect.encode("utf-8")
+
+    survey = tmp_path / "survey.csv"
+    _income_csv(survey, [0.1 * k for k in range(1, 30)])
+    wealth = tmp_path / "wealth.csv"
+    _wealth_csv(wealth, [(0.0, 3.0e4 / 7.0), (1.0, 9.0e4 / 7.0)])
+    out = tmp_path / "fused.csv"
+    assert main(["fuse", str(survey), str(wealth), "--output", str(out), "--quiet"]) == 0
+    fused = fuse(load_incomes(survey), forbes_incomes(load_wealth_pairs(wealth)))
+    expect = "income\n" + "".join(f"{m!r}\n" for m in fused.tolist())
+    assert out.read_bytes() == expect.encode("utf-8")

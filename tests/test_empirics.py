@@ -11,6 +11,7 @@ from incomedist import (
     OverlapWarning,
     ParseError,
     WealthPair,
+    empirics,
     find_scale_factor,
     forbes_incomes,
     fuse,
@@ -68,8 +69,8 @@ def test_csv_round_trip_bit_exact(tmp_path):
 def test_load_incomes_header_and_errors(tmp_path):
     path = tmp_path / "inc.csv"
     path.write_text("income\n10.5\n\n20.25\n", encoding="utf-8")
-    recs = load_incomes(path)
-    assert [r.income for r in recs] == [10.5, 20.25]
+    incomes = load_incomes(path)
+    assert incomes.tolist() == [10.5, 20.25]
 
     bad = tmp_path / "bad.csv"
     bad.write_text("10.0\nnope\n", encoding="utf-8")
@@ -81,7 +82,7 @@ def test_load_incomes_header_and_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("income\n", encoding="utf-8")
     with pytest.warns(EmptyFileWarning):
-        assert load_incomes(empty) == []
+        assert load_incomes(empty).tolist() == []
 
 
 def test_load_wealth_pairs(tmp_path):
@@ -113,7 +114,7 @@ def test_forbes_incomes_keeps_positive_gains():
         WealthPair(id="down", wealth_prev=5.0, wealth_curr=2.0),
         WealthPair(id="flat", wealth_prev=3.0, wealth_curr=3.0),
     ]
-    assert [r.income for r in forbes_incomes(pairs)] == [3.0]
+    assert forbes_incomes(pairs).tolist() == [3.0]
 
 
 def test_find_scale_factor_min_alignment():
@@ -129,12 +130,12 @@ def test_find_scale_factor_partial_overlap_warns():
 
 def test_fuse_with_explicit_factor_is_concatenation():
     fused = fuse([1.0, 2.0], [30.0, 40.0], factor=1.0)
-    assert sorted(r.income for r in fused) == [1.0, 2.0, 30.0, 40.0]
+    assert sorted(fused.tolist()) == [1.0, 2.0, 30.0, 40.0]
 
 
 def test_fuse_empty_rich_returns_survey():
     fused = fuse([3.0, 1.0], [])
-    assert sorted(r.income for r in fused) == [1.0, 3.0]
+    assert sorted(fused.tolist()) == [1.0, 3.0]
 
 
 def test_fuse_derives_rule_based_factor():
@@ -144,7 +145,7 @@ def test_fuse_derives_rule_based_factor():
     seg_min = sorted(survey)[-6]
     fused = fuse(survey, rich, top_k=6)
     factor = seg_min / 50000.0
-    fused_set = {r.income for r in fused}
+    fused_set = set(fused.tolist())
     assert len(fused) == len(survey) + len(rich)
     for r in rich:
         assert any(abs(v - factor * r) < 1e-9 * factor * r for v in fused_set)
@@ -175,3 +176,143 @@ def test_rank_ccdf_scale_covariance(values, lam):
     scaled = rank_ccdf([lam * v for v in values])
     assert np.array_equal(scaled.p, base.p)
     assert np.allclose(scaled.incomes, lam * base.incomes, rtol=1e-12)
+
+
+# ------------------------------------------- array readers against line readers
+#
+# load_incomes and EmpiricalCCDF.from_csv parse with numpy's C parser and run
+# their line readers only when it refuses.  On any file the two must agree:
+# the same array, or the same ParseError (line, column, message), or the same
+# other ValueError.
+
+_ODD_CELLS = ["", "   ", "\t", " 7.5 ", "income", "1_000", "nan", "inf", "-inf",
+              "0", "-0.0", "-5.0", "1e-310", "1e300", "1e400", "abc", "1 2",
+              "# 5", "5.0 #", "\"5.0\""]
+_cells = st.one_of(st.floats().map(repr), st.floats(1e-320, 1e-300).map(repr),
+                   st.floats(1e290, 1e308).map(repr), st.sampled_from(_ODD_CELLS))
+
+
+def _outcome(read, path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = read(path)
+        except ParseError as exc:
+            value = ("ParseError", exc.line, exc.column, str(exc))
+        except ValueError as exc:
+            value = (type(exc).__name__, str(exc))
+    if isinstance(value, EmpiricalCCDF):
+        value = (value.incomes.tobytes(), value.p.tobytes())
+    elif isinstance(value, np.ndarray):
+        value = (value.dtype.str, value.tobytes())
+    return value, [w.category for w in caught if issubclass(w.category, EmptyFileWarning)]
+
+
+def _write_rows(path, header, rows, final_newline):
+    text = "\n".join(([header] if header else []) + rows)
+    path.write_text(text + ("\n" if final_newline else ""), encoding="utf-8")
+
+
+@given(st.sampled_from([None, "income", "INCOME ", "  "]),
+       st.lists(st.one_of(_cells, st.lists(_cells, min_size=2, max_size=3).map(",".join)),
+                max_size=8),
+       st.booleans())
+def test_load_incomes_matches_line_reader(tmp_path_factory, header, rows, final_newline):
+    path = tmp_path_factory.getbasetemp() / "incomes_property.csv"
+    _write_rows(path, header, rows, final_newline)
+    assert _outcome(load_incomes, path) == _outcome(empirics._read_income_lines, path)
+
+
+@given(st.sampled_from([None, "income,ccdf", "Income,CCDF", "income"]),
+       st.lists(st.lists(_cells, min_size=1, max_size=3).map(",".join), max_size=8),
+       st.booleans())
+def test_from_csv_matches_line_reader(tmp_path_factory, header, rows, final_newline):
+    path = tmp_path_factory.getbasetemp() / "ccdf_property.csv"
+    _write_rows(path, header, rows, final_newline)
+
+    def reference(p):
+        return EmpiricalCCDF(*empirics._read_ccdf_lines(p))
+
+    assert _outcome(EmpiricalCCDF.from_csv, path) == _outcome(reference, path)
+
+
+@given(st.booleans(),
+       st.lists(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                          .map(repr), st.sampled_from(["", "  ", "\t"])), max_size=20))
+def test_clean_income_files_take_the_array_parser(tmp_path_factory, header, rows):
+    # repr doubles, subnormals included, with blank and whitespace lines:
+    # numpy's parser must accept these itself, not hand them to the line reader
+    path = tmp_path_factory.getbasetemp() / "clean_property.csv"
+    _write_rows(path, "income" if header else None, rows, True)
+    values = [float(r) for r in rows if r.strip()]
+    table = empirics._fast_table(path, "income", None)
+    assert table is not None
+    assert table.ravel().tolist() == values
+
+
+@pytest.mark.parametrize("text, expect", [
+    ("5.0", [5.0]),
+    ("income\n5.0\n", [5.0]),
+    ("income\n", []),
+    ("", []),
+    ("\n  \n", []),
+])
+def test_load_incomes_single_row_and_header_only(tmp_path, text, expect):
+    path = tmp_path / "inc.csv"
+    path.write_text(text, encoding="utf-8")
+    if expect:
+        assert load_incomes(path).tolist() == expect
+    else:
+        with pytest.warns(EmptyFileWarning):
+            assert load_incomes(path).tolist() == []
+
+
+@pytest.mark.parametrize("text, line", [("1 2\n", 1), ("income\n1,2\n", 2),
+                                        ("5.0\nincome\n", 2), ("income\n0.5\n-1\n", 3)])
+def test_load_incomes_rejects_single_odd_row(tmp_path, text, line):
+    path = tmp_path / "inc.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_incomes(path)
+    assert err.value.line == line
+
+
+def test_from_csv_single_row_and_header_only(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("income,ccdf\n5.0,0.5\n", encoding="utf-8")
+    one = EmpiricalCCDF.from_csv(path)
+    assert one.incomes.tolist() == [5.0] and one.p.tolist() == [0.5]
+    path.write_text("5.0,0.5,0.7\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="two comma-separated"):
+        EmpiricalCCDF.from_csv(path)
+    path.write_text("income,ccdf\n", encoding="utf-8")
+    with pytest.warns(EmptyFileWarning), pytest.raises(ValueError, match="empty CCDF"):
+        EmpiricalCCDF.from_csv(path)
+
+
+# ---------------------------------------------- joined writers against per-row
+
+
+def _per_row(header, *columns):
+    return (header + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                    for row in zip(*columns))).encode("utf-8")
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=30))
+def test_write_csv_matches_per_row_output(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    a = np.array([r[0] for r in rows], dtype=float)
+    b = np.array([r[1] for r in rows], dtype=float)
+    empirics._write_csv(path, "income,ccdf", a, b)
+    assert path.read_bytes() == _per_row("income,ccdf", a, b)
+    empirics._write_csv(path, "income", a)
+    assert path.read_bytes() == _per_row("income", a)
+
+
+@given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                min_size=1, max_size=30))
+def test_ccdf_to_csv_matches_per_row_output(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "ccdf_written.csv"
+    ccdf = rank_ccdf(values)
+    ccdf.to_csv(path)
+    assert path.read_bytes() == _per_row("income,ccdf", ccdf.incomes, ccdf.p)

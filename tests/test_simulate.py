@@ -146,6 +146,12 @@ def test_ensemble_csv(tmp_path):
     assert lines[0] == "income"
     assert len(lines) == 6
     assert all(float(v) >= 0.01 for v in lines[1:])
+    # the joined writer gives the bytes of a per-row write, float32 samples too
+    single = Ensemble(samples=ens.samples.astype(np.float32), config=ens.config, n_reflections=0)
+    for e in (ens, single):
+        e.to_csv(path)
+        expect = "income\n" + "".join(f"{float(m)!r}\n" for m in e.samples)
+        assert path.read_bytes() == expect.encode("utf-8")
 
 
 def test_equilibrium_matches_analytic_model_quick():
