@@ -21,6 +21,7 @@ import numpy as np
 from incomedist.empirics import (
     EmpiricalCCDF,
     ParseError,
+    _is_header,
     _overlap_factor,
     _write_csv,
     forbes_incomes,
@@ -75,8 +76,8 @@ def _load_params(path: str) -> ModelParams:
 def _load_any_ccdf(path: str) -> EmpiricalCCDF:
     """Accept either an exported CCDF table or a raw one-column income list."""
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip().lower()
-    if first.replace(" ", "") == "income,ccdf":
+        first = fh.readline()
+    if _is_header(first, "income,ccdf"):
         return EmpiricalCCDF.from_csv(path)
     return rank_ccdf(load_incomes(path))
 
@@ -167,7 +168,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(
         coeffs=coeffs, m1=m1, m_init=m_init, dt=dt,
         n_steps=args.n_steps, n_paths=args.n_paths,
-        seed=args.seed, burn_in=args.burn_in,
+        seed=args.seed,
     )
     ens = run_ensemble(config, initial=args.initial,
                        dtype="float32" if args.float32 else "float64")
@@ -266,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config", help="parameter JSON, coefficient JSON, or full sim config JSON")
     sp.add_argument("--dt", type=float, help="time step (default: 1%% of the stability bound)")
     sp.add_argument("--n-steps", type=int, default=20000, dest="n_steps")
-    sp.add_argument("--burn-in", type=int, default=0, dest="burn_in")
     sp.add_argument("--n-paths", type=int, default=10000, dest="n_paths")
     sp.add_argument("--m1", type=float, help="threshold income (coefficient input only)")
     sp.add_argument("--m-init", type=float, default=0.01, dest="m_init",

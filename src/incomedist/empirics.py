@@ -100,6 +100,11 @@ def _positive_finite(arr: np.ndarray) -> bool:
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
+def _is_header(line: str, header: str) -> bool:
+    """Whether a first line is the comma-separated header, up to case and blanks around cells."""
+    return [cell.strip() for cell in line.lower().split(",")] == header.split(",")
+
+
 def _fast_table(path, header: str, delimiter: str | None) -> np.ndarray | None:
     """A CSV as a 2-d float array from numpy's C parser, or None where it refuses.
 
@@ -109,7 +114,7 @@ def _fast_table(path, header: str, delimiter: str | None) -> np.ndarray | None:
     (digit-group underscores, non-ASCII digits).
     """
     with open(path, encoding="utf-8") as fh:
-        skip = int(fh.readline().strip().lower() == header)
+        skip = int(_is_header(fh.readline(), header))
     # numpy parses in C only from a path given as str; an absolute one is
     # never taken for a URL
     name = os.path.abspath(os.fsdecode(path))
@@ -188,7 +193,7 @@ def _read_ccdf_lines(path) -> tuple[np.ndarray, np.ndarray]:
             text = raw.strip()
             if not text:
                 continue
-            if lineno == 1 and text.lower() == "income,ccdf":
+            if lineno == 1 and _is_header(text, "income,ccdf"):
                 continue
             parts = text.split(",")
             if len(parts) != 2:
@@ -313,7 +318,7 @@ def _read_income_lines(path) -> np.ndarray:
             text = raw.strip()
             if not text:
                 continue
-            if lineno == 1 and text.lower() == "income":
+            if lineno == 1 and _is_header(text, "income"):
                 continue
             try:
                 value = float(text)

@@ -22,8 +22,13 @@ continuously at m1, and the overall constant is fixed by normalization over
 All integrals are computed after the substitution u = arctan(m/m0), which maps
 [m, infinity) onto [arctan(m/m0), pi/2) and turns the density into
 m0 * c * exp(-(m0/T') u) * cos(u)^(a'-1), removing both the infinite domain
-and the heavy tail.  The cos^(alpha1-1) endpoint singularity for alpha1 < 1 is
-absorbed by the further change of variables v = (pi/2 - u)^alpha1.
+and the heavy tail.  Next to pi/2 they run in the tail width
+w = pi/2 - u = arctan(m0/m), computed directly, so no difference of nearly
+equal angles is formed at large incomes, and the cos^(alpha1-1) endpoint
+singularity for alpha1 < 1 is absorbed by the further change of variables
+v = w^alpha1.  One evaluator sums these integrals over the intervals between
+ascending income nodes plus a closing tail integral; normalization, the
+scalar CCDF and the CCDF table are all calls to it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 __all__ = [
     "TailDivergenceError",
@@ -58,10 +63,9 @@ _HALF_PI = math.pi / 2.0
 # Width of the band next to pi/2 handled with the singularity-absorbing
 # substitution; outside it the integrand is smooth enough for plain quadrature.
 _SING_BAND = 0.25
-# Relative quadrature tolerances.  Normalization is contracted to 1e-10 and
-# tail probabilities to 1e-8; we run the quadrature tighter than both.
-_NORM_RTOL = 1e-12
-_CCDF_RTOL = 1e-11
+# Relative quadrature tolerance.  Normalization is contracted to 1e-10 and
+# tail probabilities to 1e-8; the quadrature runs tighter than both.
+_RTOL = 1e-12
 _QUANTILE_RTOL = 1e-8
 
 
@@ -234,27 +238,27 @@ def continuity_ratio(params: ModelParams) -> float:
         ) from None
 
 
-def _regular_integral(k: float, alpha: float, lo: float, hi: float, rtol: float) -> float:
+def _regular_integral(k: float, alpha: float, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
 
     def f(u: float) -> float:
         return math.exp(-k * u) * math.cos(u) ** (alpha - 1.0)
 
-    val, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=rtol, limit=300)
+    val, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=300)
     return val
 
 
-def _endpoint_integral(k: float, alpha: float, width: float, rtol: float) -> float:
-    """Integral of exp(-k u) cos(u)^(alpha-1) over [pi/2 - width, pi/2].
+def _endpoint_integral(k: float, alpha: float, w_lo: float, w_hi: float) -> float:
+    """Integral of exp(-k u) cos(u)^(alpha-1) over [pi/2 - w_hi, pi/2 - w_lo].
 
     Substituting w = pi/2 - u and then v = w^alpha gives a smooth integrand
-    even for 0 < alpha < 1, where cos(u)^(alpha-1) diverges at pi/2.
+    even for 0 < alpha < 1, where cos(u)^(alpha-1) diverges at pi/2, and the
+    limits keep full relative precision however close to pi/2 they lie.
     """
-    if width <= 0.0:
+    if w_hi <= w_lo:
         return 0.0
     inv = 1.0 / alpha
-    v_hi = width**alpha
 
     def g(v: float) -> float:
         w = v**inv
@@ -263,25 +267,41 @@ def _endpoint_integral(k: float, alpha: float, width: float, rtol: float) -> flo
         # once k * width exceeds ~709 even though the integrand itself is tiny
         return inv * math.exp(k * (w - _HALF_PI)) * sinc ** (alpha - 1.0)
 
-    val, _ = integrate.quad(g, 0.0, v_hi, epsabs=0.0, epsrel=rtol, limit=300)
+    val, _ = integrate.quad(g, w_lo**alpha, w_hi**alpha, epsabs=0.0, epsrel=_RTOL, limit=300)
     return val
 
 
-def _branch_integral(k: float, alpha: float, u_lo: float, u_hi: float, rtol: float) -> float:
-    """Integral of exp(-k u) cos(u)^(alpha-1) over [u_lo, u_hi] within [0, pi/2]."""
-    if u_hi <= u_lo:
-        return 0.0
-    if u_hi < _HALF_PI - 1e-12:
-        return _regular_integral(k, alpha, u_lo, u_hi, rtol)
-    split = max(u_lo, _HALF_PI - _SING_BAND)
-    total = _endpoint_integral(k, alpha, _HALF_PI - split, rtol)
-    if split > u_lo:
-        total += _regular_integral(k, alpha, u_lo, split, rtol)
-    return total
+def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float) -> np.ndarray:
+    """Tail mass above each of the ascending incomes ms for branch constants c_lo, c_hi.
 
-
-def _u(params: ModelParams, m: float) -> float:
-    return math.atan(m / params.m0)
+    One quadrature per interval between consecutive nodes, summed from the
+    top, plus one closing integral from the last node to infinity.  m1 is a
+    node whenever it lies inside the range, so no interval straddles the
+    branch switch and the closing integral always lies on the upper branch.
+    Near pi/2 the integrals run in the width w = pi/2 - u = arctan(m0/m),
+    computed directly rather than as a difference of nearly equal angles.
+    """
+    ms = np.asarray(ms, dtype=float)
+    nodes = np.union1d(ms, [params.m1]) if ms[0] < params.m1 else ms
+    us = np.arctan(nodes / params.m0)
+    ws = np.arctan2(params.m0, nodes)
+    k_lo = params.m0 / params.T
+    k_hi = params.m0 / params.T1
+    band = min(ws[-1], _SING_BAND)
+    closing = _endpoint_integral(k_hi, params.alpha1, 0.0, band) + _regular_integral(
+        k_hi, params.alpha1, _HALF_PI - ws[-1], _HALF_PI - band
+    )
+    tail = np.empty(nodes.size)
+    tail[-1] = c_hi * closing
+    for i in range(nodes.size - 2, -1, -1):
+        c, k, alpha = ((c_hi, k_hi, params.alpha1) if nodes[i] >= params.m1
+                       else (c_lo, k_lo, params.alpha))
+        if ws[i] <= _SING_BAND:
+            piece = _endpoint_integral(k, alpha, ws[i + 1], ws[i])
+        else:
+            piece = _regular_integral(k, alpha, us[i], us[i + 1])
+        tail[i] = tail[i + 1] + c * piece
+    return params.m0 * tail[np.searchsorted(nodes, ms)]
 
 
 def normalize(params: ModelParams) -> ModelParams:
@@ -296,13 +316,7 @@ def normalize(params: ModelParams) -> ModelParams:
             f"tail mass diverges for alpha1 <= 0 (got alpha1={params.alpha1})"
         )
     ratio = continuity_ratio(params)
-    u_init = _u(params, params.m_init)
-    u1 = _u(params, params.m1)
-    k_lo = params.m0 / params.T
-    k_hi = params.m0 / params.T1
-    low = _branch_integral(k_lo, params.alpha, u_init, u1, _NORM_RTOL)
-    high = _branch_integral(k_hi, params.alpha1, u1, _HALF_PI, _NORM_RTOL)
-    raw = params.m0 * (low + ratio * high)
+    raw = float(_ccdf_nodes(params, [params.m_init], 1.0, ratio)[0])
     if not (raw > 0.0 and math.isfinite(raw)):
         raise ValueError(f"normalization integral is not positive and finite: {raw}")
     return replace(params, c_lo=1.0 / raw, c_hi=ratio / raw)
@@ -341,17 +355,7 @@ def ccdf_eval(params: ModelParams, m: float) -> float:
     _require_normalized(params)
     if m < params.m_init:
         raise ValueError(f"m must be >= m_init, got {m}")
-    u = _u(params, m)
-    u1 = _u(params, params.m1)
-    k_hi = params.m0 / params.T1
-    if m >= params.m1:
-        return params.c_hi * params.m0 * _branch_integral(
-            k_hi, params.alpha1, u, _HALF_PI, _CCDF_RTOL
-        )
-    k_lo = params.m0 / params.T
-    low = _branch_integral(k_lo, params.alpha, u, u1, _CCDF_RTOL)
-    high = _branch_integral(k_hi, params.alpha1, u1, _HALF_PI, _CCDF_RTOL)
-    return params.m0 * (params.c_lo * low + params.c_hi * high)
+    return float(_ccdf_nodes(params, [m], params.c_lo, params.c_hi)[0])
 
 
 def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
@@ -369,33 +373,7 @@ def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
     ms[0] = params.m_init
     if params.m_init < params.m1 < m_hi:
         ms = np.unique(np.append(ms, params.m1))
-    us = np.arctan(ms / params.m0)
-    k_lo = params.m0 / params.T
-    k_hi = params.m0 / params.T1
-    u1 = _u(params, params.m1)
-
-    pieces = np.empty(ms.size - 1)
-    for i in range(ms.size - 1):
-        if ms[i] >= params.m1:
-            pieces[i] = params.c_hi * _branch_integral(
-                k_hi, params.alpha1, us[i], us[i + 1], _CCDF_RTOL
-            )
-        else:
-            pieces[i] = params.c_lo * _branch_integral(
-                k_lo, params.alpha, us[i], us[i + 1], _CCDF_RTOL
-            )
-    if ms[-1] >= params.m1:
-        closing = params.c_hi * _branch_integral(
-            k_hi, params.alpha1, us[-1], _HALF_PI, _CCDF_RTOL
-        )
-    else:
-        closing = params.c_lo * _branch_integral(
-            k_lo, params.alpha, us[-1], u1, _CCDF_RTOL
-        ) + params.c_hi * _branch_integral(k_hi, params.alpha1, u1, _HALF_PI, _CCDF_RTOL)
-
-    tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
-    pi = params.m0 * (tail + closing)
-    return ms, pi
+    return ms, _ccdf_nodes(params, ms, params.c_lo, params.c_hi)
 
 
 def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
@@ -417,9 +395,10 @@ def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
 
 
 def quantile(params: ModelParams, q: float) -> float:
-    """Income level m with P(income <= m) = q, by bisection on the CCDF.
+    """Income level m with P(income <= m) = q, by Brent's method on the CCDF.
 
-    Bisection runs to relative tolerance 1e-8 on the bracketing interval.
+    The root is bracketed by doubling from m_init, then found to relative
+    tolerance 1e-8 in income.
     """
     _require_normalized(params)
     if not 0.0 < q < 1.0:
@@ -434,20 +413,21 @@ def quantile(params: ModelParams, q: float) -> float:
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the quantile")
-    while (hi - lo) > _QUANTILE_RTOL * (0.5 * (hi + lo)):
-        mid = 0.5 * (lo + hi)
-        if ccdf_eval(params, mid) < target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+
+    def excess(m: float) -> float:
+        # the CCDF is 1 at m_init by normalization; quadrature could round it below
+        return (ccdf_eval(params, m) if m > params.m_init else 1.0) - target
+
+    return optimize.brentq(excess, lo, hi, rtol=_QUANTILE_RTOL)
 
 
 def sample_incomes(params: ModelParams, n: int, seed=None, rng=None) -> np.ndarray:
     """Draw n incomes by quantile inversion on a dense CCDF table.
 
     The table extends until the tail probability drops below ~1e-3/n, so the
-    chance of any draw being clipped at the table edge is negligible.
+    chance of any draw being clipped at the table edge is negligible.  The
+    edge stops at ~1e300: a tail with alpha1 of a few hundredths holds mass
+    beyond the float range, and those draws clip to the edge.
     """
     _require_normalized(params)
     if n <= 0:
@@ -456,7 +436,7 @@ def sample_incomes(params: ModelParams, n: int, seed=None, rng=None) -> np.ndarr
         rng = np.random.default_rng(seed)
     p_floor = max(1e-12, 1e-3 / n)
     m_hi = 10.0 * params.m1
-    while ccdf_eval(params, m_hi) > p_floor:
+    while ccdf_eval(params, m_hi) > p_floor and m_hi < 1e300:
         m_hi *= 10.0
     grid_m, grid_pi = ccdf_table(params, m_hi, n_grid=4000)
     log_pi = np.log(grid_pi[::-1])

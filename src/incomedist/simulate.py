@@ -54,7 +54,11 @@ def stability_bound(coeffs: LangevinCoeffs) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete, serializable description of one ensemble run."""
+    """Complete, serializable description of one ensemble run.
+
+    burn_in is validated and recorded (saved configs carry it) but not used
+    by run_ensemble, which returns the state after all n_steps.
+    """
 
     coeffs: LangevinCoeffs
     m1: float
@@ -138,21 +142,39 @@ def diffusion(coeffs: LangevinCoeffs, m1: float, m):
     return float(out) if arr.ndim == 0 else out
 
 
+def _folded_constants(config: SimConfig, dtype) -> tuple:
+    """Step constants in dtype: threshold, wall, per-regime affine drift, variance."""
+    c = config.coeffs
+    dt = config.dt
+    return (dtype(config.m1), dtype(config.m_init), dtype(2.0 * config.m_init),
+            dtype(1.0 - c.a * dt), dtype(-c.A0 * dt),
+            dtype(1.0 - c.a_hi * dt), dtype(-c.A0_hi * dt),
+            dtype(2.0 * dt * c.B0), dtype(2.0 * dt * c.b))
+
+
+def _euler(m: np.ndarray, xi: np.ndarray, constants: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One reflected Euler-Maruyama update; returns the new incomes and the reflected mask."""
+    m1, m_init, two_m_init, lo_mul, lo_add, hi_mul, hi_add, var0, var2 = constants
+    hi = m >= m1
+    proposed = (
+        m * np.where(hi, hi_mul, lo_mul)
+        + np.where(hi, hi_add, lo_add)
+        + np.sqrt(var0 + var2 * (m * m)) * xi
+    )
+    refl = proposed < m_init
+    return np.where(refl, two_m_init - proposed, proposed), refl
+
+
 def step(m, config: SimConfig, noise):
     """One Euler-Maruyama update with reflection at m_init.
 
     m' = m - A(m) dt + sqrt(2 B(m) dt) * noise; any m' below m_init is
-    folded back to 2 m_init - m'.
+    folded back to 2 m_init - m'.  This is the float64 update of
+    run_ensemble, so iterating it on a block's noise stream reproduces that
+    block bit for bit.
     """
     arr = np.asarray(m, dtype=float)
-    xi = np.asarray(noise, dtype=float)
-    c = config.coeffs
-    proposed = (
-        arr
-        - drift(c, config.m1, arr) * config.dt
-        + np.sqrt(2.0 * config.dt * diffusion(c, config.m1, arr)) * xi
-    )
-    out = np.where(proposed < config.m_init, 2.0 * config.m_init - proposed, proposed)
+    out, _ = _euler(arr, np.asarray(noise, dtype=float), _folded_constants(config, np.float64))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -166,30 +188,13 @@ def _default_initial(config: SimConfig) -> float:
 
 def _run_block(config: SimConfig, m0_block: np.ndarray, seed_seq: np.random.SeedSequence,
                dtype) -> tuple[np.ndarray, int]:
-    c = config.coeffs
-    dt = config.dt
-    m1 = dtype(config.m1)
-    m_init = dtype(config.m_init)
-    two_m_init = dtype(2.0 * config.m_init)
-    # drift folded into per-regime affine step constants
-    lo_mul, lo_add = dtype(1.0 - c.a * dt), dtype(-c.A0 * dt)
-    hi_mul, hi_add = dtype(1.0 - c.a_hi * dt), dtype(-c.A0_hi * dt)
-    var0, var2 = dtype(2.0 * dt * c.B0), dtype(2.0 * dt * c.b)
-
+    constants = _folded_constants(config, dtype)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     m = m0_block.astype(dtype, copy=True)
     n_refl = 0
     for _ in range(config.n_steps):
-        xi = rng.standard_normal(m.size, dtype=dtype)
-        hi = m >= m1
-        proposed = (
-            m * np.where(hi, hi_mul, lo_mul)
-            + np.where(hi, hi_add, lo_add)
-            + np.sqrt(var0 + var2 * (m * m)) * xi
-        )
-        refl = proposed < m_init
+        m, refl = _euler(m, rng.standard_normal(m.size, dtype=dtype), constants)
         n_refl += int(np.count_nonzero(refl))
-        m = np.where(refl, two_m_init - proposed, proposed)
     return m.astype(np.float64), n_refl
 
 

@@ -157,6 +157,16 @@ def test_fit_deterministic_bytes(tmp_path, ccdf08_noiseless):
     assert obj["degenerate_tail"] is False
 
 
+def test_fit_accepts_spaced_ccdf_header(tmp_path, ccdf08_noiseless):
+    data = tmp_path / "ccdf.csv"
+    ccdf08_noiseless.to_csv(data)
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    _write(data, "income, ccdf\n" + "".join(lines[1:]))
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(data), "--output", str(out), "--quiet"]) == 0
+    assert "params" in json.loads(out.read_text(encoding="utf-8"))
+
+
 # ---------------------------------------------------------------- eval
 
 

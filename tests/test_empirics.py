@@ -223,7 +223,7 @@ def test_load_incomes_matches_line_reader(tmp_path_factory, header, rows, final_
     assert _outcome(load_incomes, path) == _outcome(empirics._read_income_lines, path)
 
 
-@given(st.sampled_from([None, "income,ccdf", "Income,CCDF", "income"]),
+@given(st.sampled_from([None, "income,ccdf", "Income,CCDF", "income, ccdf", "income"]),
        st.lists(st.lists(_cells, min_size=1, max_size=3).map(",".join), max_size=8),
        st.booleans())
 def test_from_csv_matches_line_reader(tmp_path_factory, header, rows, final_newline):

@@ -116,11 +116,61 @@ def test_ccdf_table_monotone(params08):
 
 
 def test_quantile_round_trip(params08):
-    for q in (0.1, 0.5, 0.9, 0.99, 0.9999):
+    for q in (1e-17, 0.1, 0.5, 0.9, 0.99, 0.9999):
         m = quantile(params08, q)
         assert ccdf_eval(params08, m) == pytest.approx(1.0 - q, abs=1e-6)
     with pytest.raises(ValueError):
         quantile(params08, 0.0)
+
+
+def _with_alpha1(params, alpha1):
+    from dataclasses import replace
+    return normalize(replace(params, alpha1=alpha1, c_lo=None, c_hi=None))
+
+
+def _asymptotic_tail(params, m):
+    # far above m0 the tail integral reduces to exp(-k pi/2) w^alpha1 / alpha1
+    # with w = arctan(m0/m); the next term is smaller by about k w
+    w = math.atan(params.m0 / m)
+    k = params.m0 / params.T1
+    return params.c_hi * params.m0 * math.exp(-k * math.pi / 2) * w**params.alpha1 / params.alpha1
+
+
+@pytest.mark.parametrize("alpha1", [0.2, 0.79, 1.4])
+@pytest.mark.parametrize("f", [1e9, 1e12, 1e15])
+def test_deep_tail_matches_asymptote(params08, alpha1, f):
+    params = _with_alpha1(params08, alpha1)
+    m = f * params.m0
+    assert ccdf_eval(params, m) == pytest.approx(_asymptotic_tail(params, m), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha1", [0.2, 0.79, 1.4])
+def test_deep_tail_table_matches_scalar(params08, alpha1):
+    params = _with_alpha1(params08, alpha1)
+    grid_m, grid_pi = ccdf_table(params, 1e16 * params.m0, n_grid=120)
+    deep = grid_m > 1e3 * params.m0
+    scalar = np.array([ccdf_eval(params, m) for m in grid_m[deep]])
+    np.testing.assert_allclose(grid_pi[deep], scalar, rtol=1e-8)
+
+
+def test_heavy_tail_quantile_round_trip(params08):
+    params = _with_alpha1(params08, 0.2)
+    q = 1.0 - 1e-9
+    m = quantile(params, q)
+    assert ccdf_eval(params, m) == pytest.approx(1.0 - q, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha1", [0.01, 0.05])
+def test_heavy_tail_samples_follow_model(params08, alpha1):
+    # a share of these tails lies beyond 1e16 m0 (for alpha1 = 0.01, beyond
+    # the float range, where draws clip to the table edge)
+    params = _with_alpha1(params08, alpha1)
+    n = 20_000
+    samples = sample_incomes(params, n, seed=8)
+    assert np.all(np.isfinite(samples))
+    p = _asymptotic_tail(params, 1e16 * params.m0)
+    hits = int(np.count_nonzero(samples > 1e16 * params.m0))
+    assert abs(hits - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
 
 
 def test_sampler_deterministic_and_bounded(params08):

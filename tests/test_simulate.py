@@ -93,6 +93,20 @@ def test_step_variance_matches_diffusion():
     assert var == pytest.approx(expect, rel=5e-3)
 
 
+def test_step_reproduces_run_ensemble():
+    # one block: iterating the public step on block 0's noise stream must
+    # give the ensemble kernel's float64 result bit for bit, reflections included
+    cfg = _config(n_paths=600, n_steps=40, seed=3)
+    initial = np.geomspace(0.02, 2e6, cfg.n_paths)
+    ens = run_ensemble(cfg, initial=initial)
+    assert ens.n_reflections > 0
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    m = initial
+    for _ in range(cfg.n_steps):
+        m = step(m, cfg, rng.standard_normal(cfg.n_paths))
+    assert np.array_equal(m, ens.samples)
+
+
 def test_run_ensemble_deterministic():
     cfg = _config(n_paths=3000, n_steps=50)
     a = run_ensemble(cfg)
