@@ -96,7 +96,7 @@ def _positive_finite(arr: np.ndarray) -> bool:
 
 
 # numpy's loader opens paths with these suffixes through a decompressor,
-# which the line readers do not
+# which the line reader does not
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
@@ -105,29 +105,65 @@ def _is_header(line: str, header: str) -> bool:
     return [cell.strip() for cell in line.lower().split(",")] == header.split(",")
 
 
-def _fast_table(path, header: str, delimiter: str | None) -> np.ndarray | None:
-    """A CSV as a 2-d float array from numpy's C parser, or None where it refuses.
+def _read_table(path, header: str) -> np.ndarray:
+    """A CSV as a 2-d float array with one column per header cell, by numpy's C parser.
 
-    The header is skipped only on physical line 1, as the line readers do.
-    None sends the caller to its line reader, which reports the fault, or
-    reads the rare input that Python's float accepts and numpy does not
-    (digit-group underscores, non-ASCII digits).
+    A one-column file splits on blanks and a wider one on commas.  Where
+    numpy refuses the file, or a value is not positive and finite,
+    `_read_lines` reads it again: it reports the fault, or reads the rare
+    input that Python's float accepts and numpy does not (digit-group
+    underscores, non-ASCII digits).
     """
+    ncol = header.count(",") + 1
     with open(path, encoding="utf-8") as fh:
         skip = int(_is_header(fh.readline(), header))
     # numpy parses in C only from a path given as str; an absolute one is
     # never taken for a URL
     name = os.path.abspath(os.fsdecode(path))
-    if name.endswith(_COMPRESSED):
-        return None
-    with warnings.catch_warnings():
-        # an empty file: the line reader warns in the package's terms
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            return np.loadtxt(name, dtype=float, delimiter=delimiter, comments=None,
-                              skiprows=skip, ndmin=2, encoding="utf-8")
-        except ValueError:
-            return None
+    if not name.endswith(_COMPRESSED):
+        with warnings.catch_warnings():
+            # an empty file: the line reader warns in the package's terms
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                table = np.loadtxt(name, dtype=float, delimiter="," if ncol > 1 else None,
+                                   comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+            except ValueError:
+                table = None
+        if table is not None and table.shape[1] == ncol and _positive_finite(table):
+            return table
+    return _read_lines(path, header)
+
+
+def _read_lines(path, header: str) -> np.ndarray:
+    """Line-by-line reader of `_read_table`: the reference grammar and its error reports.
+
+    Blank lines are skipped and the header is allowed only on line 1.  A row
+    has one comma-separated cell per header cell, and every cell is a
+    positive finite decimal; a fault raises ParseError at its line and column.
+    """
+    names = header.split(",")
+    values: list[float] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text or (lineno == 1 and _is_header(text, header)):
+                continue
+            cells = text.split(",")
+            if len(cells) != len(names):
+                # the column of the first missing or extra cell
+                raise ParseError(f"got {len(cells)} fields, expected {len(names)} ({header})",
+                                 lineno, min(len(cells), len(names)) + 1)
+            for col, cell in enumerate(cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = np.nan
+                if not 0.0 < value < np.inf:
+                    raise ParseError(f"bad {names[col]} {cell!r}", lineno, col + 1)
+                values.append(value)
+    if not values:
+        warnings.warn(f"no data rows in {path}", EmptyFileWarning, stacklevel=4)
+    return np.array(values, dtype=float).reshape(-1, len(names))
 
 
 def _write_csv(path, header: str, *columns) -> None:
@@ -176,40 +212,11 @@ class EmpiricalCCDF:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalCCDF":
-        """Read an `income,ccdf` table; malformed rows raise ParseError."""
-        table = _fast_table(path, "income,ccdf", ",")
-        if table is None or table.shape[0] == 0 or table.shape[1] != 2:
-            incomes, ps = _read_ccdf_lines(path)
-        else:
-            incomes, ps = table[:, 0].copy(), table[:, 1].copy()
-        return cls(incomes=incomes, p=ps)
-
-
-def _read_ccdf_lines(path) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line reader of `from_csv`: the reference grammar and its error reports."""
-    incomes, ps = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if lineno == 1 and _is_header(text, "income,ccdf"):
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected two comma-separated fields", lineno)
-            try:
-                incomes.append(float(parts[0]))
-            except ValueError:
-                raise ParseError(f"bad income {parts[0]!r}", lineno, 1) from None
-            try:
-                ps.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(f"bad ccdf value {parts[1]!r}", lineno, 2) from None
-    if not incomes:
-        warnings.warn(f"no data rows in {path}", EmptyFileWarning, stacklevel=3)
-        raise ValueError(f"empty CCDF file: {path}")
-    return np.array(incomes), np.array(ps)
+        """Read an `income,ccdf` table; a malformed row raises ParseError at its line and column."""
+        table = _read_table(path, "income,ccdf")
+        if table.shape[0] == 0:
+            raise ValueError(f"empty CCDF file: {path}")
+        return cls(incomes=table[:, 0].copy(), p=table[:, 1].copy())
 
 
 def rank_ccdf(incomes) -> EmpiricalCCDF:
@@ -300,38 +307,11 @@ def load_incomes(path) -> np.ndarray:
     """Read a one-column income CSV into a float64 array, one positive decimal per line.
 
     An optional single header cell "income" is accepted on line 1 and blank
-    lines are skipped.  Malformed rows raise ParseError with the 1-based line
-    number; a file without rows warns (EmptyFileWarning) and gives an empty
-    array.
+    lines are skipped.  A malformed row raises ParseError at its 1-based line
+    and column; a file without rows warns (EmptyFileWarning) and gives an
+    empty array.
     """
-    table = _fast_table(path, "income", None)
-    if table is None or table.shape[1] != 1 or not _positive_finite(table):
-        return _read_income_lines(path)
-    return table[:, 0]
-
-
-def _read_income_lines(path) -> np.ndarray:
-    """Line-by-line reader of `load_incomes`: the reference grammar and its error reports."""
-    out: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if lineno == 1 and _is_header(text, "income"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"not a decimal income: {text!r}", lineno) from None
-            try:
-                IncomeRecord(income=value)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            out.append(value)
-    if not out:
-        warnings.warn(f"no income rows in {path}", EmptyFileWarning, stacklevel=3)
-    return np.array(out, dtype=float)
+    return _read_table(path, "income")[:, 0]
 
 
 def load_wealth_pairs(path) -> list[WealthPair]:

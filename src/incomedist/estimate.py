@@ -322,7 +322,6 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
         "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i_opt])) if m0_set.size else 0.0,
         "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j_opt])) if m1_set.size else 0.0,
         "degenerate": bool(degenerate),
-        "x": x, "lnp": lnp, "lnx": lnx, "lin": lin, "loglog": loglog, "n": n,
     }
 
 

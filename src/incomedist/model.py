@@ -67,6 +67,9 @@ _SING_BAND = 0.25
 # tail probabilities to 1e-8; the quadrature runs tighter than both.
 _RTOL = 1e-12
 _QUANTILE_RTOL = 1e-8
+# Incomes searched for quantiles and table edges stop here: a tail with
+# alpha1 of a few hundredths holds mass beyond the float range.
+_EDGE_CAP = 1e300
 
 
 class TailDivergenceError(ValueError):
@@ -228,14 +231,18 @@ def continuity_ratio(params: ModelParams) -> float:
     x1 = params.m1 / params.m0
     u1 = math.atan(x1)
     try:
-        return math.exp(params.m0 * (1.0 / params.T1 - 1.0 / params.T) * u1) * (
+        ratio = math.exp(params.m0 * (1.0 / params.T1 - 1.0 / params.T) * u1) * (
             1.0 + x1 * x1
         ) ** ((params.alpha1 - params.alpha) / 2.0)
     except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
         raise ValueError(
-            f"continuity ratio c_hi/c_lo overflows at m0/T1 = {params.m0 / params.T1:.6g}, "
-            f"m0/T = {params.m0 / params.T:.6g}, m1/m0 = {params.m1 / params.m0:.6g}"
-        ) from None
+            f"continuity ratio c_hi/c_lo {'overflows' if ratio else 'underflows'} at "
+            f"m0/T1 = {params.m0 / params.T1:.6g}, m0/T = {params.m0 / params.T:.6g}, "
+            f"m1/m0 = {params.m1 / params.m0:.6g}"
+        )
+    return ratio
 
 
 def _regular_integral(k: float, alpha: float, lo: float, hi: float) -> float:
@@ -394,25 +401,29 @@ def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
     return np.exp(out)
 
 
+def _edge(params: ModelParams, p: float, m: float) -> float:
+    """The first m * 10**k (k >= 0) where the CCDF is <= p, or the first past _EDGE_CAP."""
+    while ccdf_eval(params, m) > p and m < _EDGE_CAP:
+        m *= 10.0
+    return m
+
+
 def quantile(params: ModelParams, q: float) -> float:
     """Income level m with P(income <= m) = q, by Brent's method on the CCDF.
 
-    The root is bracketed by doubling from m_init, then found to relative
-    tolerance 1e-8 in income.
+    The root is bracketed by decades from m_init + max(T, T1, m0), then
+    found to relative tolerance 1e-8 in income.  A quantile beyond ~1e300
+    raises ValueError.
     """
     _require_normalized(params)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     target = 1.0 - q
-    lo = params.m_init
-    hi = params.m_init + max(params.T, params.T1, params.m0)
-    for _ in range(200):
-        if ccdf_eval(params, hi) < target:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the quantile")
+    start = params.m_init + max(params.T, params.T1, params.m0)
+    hi = _edge(params, target, start)
+    if hi >= _EDGE_CAP and ccdf_eval(params, hi) > target:
+        raise ValueError(f"the {q} quantile lies beyond the float range (above {hi:.3g})")
+    lo = params.m_init if hi == start else hi / 10.0
 
     def excess(m: float) -> float:
         # the CCDF is 1 at m_init by normalization; quadrature could round it below
@@ -435,10 +446,7 @@ def sample_incomes(params: ModelParams, n: int, seed=None, rng=None) -> np.ndarr
     if rng is None:
         rng = np.random.default_rng(seed)
     p_floor = max(1e-12, 1e-3 / n)
-    m_hi = 10.0 * params.m1
-    while ccdf_eval(params, m_hi) > p_floor and m_hi < 1e300:
-        m_hi *= 10.0
-    grid_m, grid_pi = ccdf_table(params, m_hi, n_grid=4000)
+    grid_m, grid_pi = ccdf_table(params, _edge(params, p_floor, 10.0 * params.m1), n_grid=4000)
     log_pi = np.log(grid_pi[::-1])
     log_m = np.log(grid_m[::-1])
     targets = 1.0 - rng.random(n)

@@ -1,8 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from incomedist import (
     EmpiricalCCDF,
@@ -77,7 +78,12 @@ def test_load_incomes_header_and_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_incomes(bad)
     assert err.value.line == 2
-    assert "line 2" in str(err.value)
+    assert str(err.value) == "line 2, column 1: bad income 'nope'"
+
+    bad.write_text("income\n10.0\n1,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"got 2 fields, expected 1 \(income\)") as err:
+        load_incomes(bad)
+    assert (err.value.line, err.value.column) == (3, 2)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("income\n", encoding="utf-8")
@@ -178,12 +184,12 @@ def test_rank_ccdf_scale_covariance(values, lam):
     assert np.allclose(scaled.incomes, lam * base.incomes, rtol=1e-12)
 
 
-# ------------------------------------------- array readers against line readers
+# -------------------------------------------- array reader against line reader
 #
-# load_incomes and EmpiricalCCDF.from_csv parse with numpy's C parser and run
-# their line readers only when it refuses.  On any file the two must agree:
-# the same array, or the same ParseError (line, column, message), or the same
-# other ValueError.
+# load_incomes and EmpiricalCCDF.from_csv read through _read_table, which
+# parses with numpy's C parser and runs _read_lines only when it refuses.  On
+# any file the two must agree: the same array, or the same ParseError (line,
+# column, message), or the same other ValueError.
 
 _ODD_CELLS = ["", "   ", "\t", " 7.5 ", "income", "1_000", "nan", "inf", "-inf",
               "0", "-0.0", "-5.0", "1e-310", "1e300", "1e400", "abc", "1 2",
@@ -201,10 +207,8 @@ def _outcome(read, path):
             value = ("ParseError", exc.line, exc.column, str(exc))
         except ValueError as exc:
             value = (type(exc).__name__, str(exc))
-    if isinstance(value, EmpiricalCCDF):
-        value = (value.incomes.tobytes(), value.p.tobytes())
-    elif isinstance(value, np.ndarray):
-        value = (value.dtype.str, value.tobytes())
+    if isinstance(value, np.ndarray):
+        value = (value.dtype.str, value.shape, value.tobytes())
     return value, [w.category for w in caught if issubclass(w.category, EmptyFileWarning)]
 
 
@@ -220,7 +224,8 @@ def _write_rows(path, header, rows, final_newline):
 def test_load_incomes_matches_line_reader(tmp_path_factory, header, rows, final_newline):
     path = tmp_path_factory.getbasetemp() / "incomes_property.csv"
     _write_rows(path, header, rows, final_newline)
-    assert _outcome(load_incomes, path) == _outcome(empirics._read_income_lines, path)
+    assert (_outcome(lambda p: empirics._read_table(p, "income"), path)
+            == _outcome(lambda p: empirics._read_lines(p, "income"), path))
 
 
 @given(st.sampled_from([None, "income,ccdf", "Income,CCDF", "income, ccdf", "income"]),
@@ -229,11 +234,8 @@ def test_load_incomes_matches_line_reader(tmp_path_factory, header, rows, final_
 def test_from_csv_matches_line_reader(tmp_path_factory, header, rows, final_newline):
     path = tmp_path_factory.getbasetemp() / "ccdf_property.csv"
     _write_rows(path, header, rows, final_newline)
-
-    def reference(p):
-        return EmpiricalCCDF(*empirics._read_ccdf_lines(p))
-
-    assert _outcome(EmpiricalCCDF.from_csv, path) == _outcome(reference, path)
+    assert (_outcome(lambda p: empirics._read_table(p, "income,ccdf"), path)
+            == _outcome(lambda p: empirics._read_lines(p, "income,ccdf"), path))
 
 
 @given(st.booleans(),
@@ -245,8 +247,11 @@ def test_clean_income_files_take_the_array_parser(tmp_path_factory, header, rows
     path = tmp_path_factory.getbasetemp() / "clean_property.csv"
     _write_rows(path, "income" if header else None, rows, True)
     values = [float(r) for r in rows if r.strip()]
-    table = empirics._fast_table(path, "income", None)
-    assert table is not None
+    assume(values)  # a file without rows goes to the line reader, which warns
+    refuse = AssertionError("clean file sent to the line reader")
+    with mock.patch.object(empirics, "_read_lines", side_effect=refuse):
+        table = empirics._read_table(path, "income")
+    assert table.shape == (len(values), 1)
     assert table.ravel().tolist() == values
 
 
@@ -283,11 +288,28 @@ def test_from_csv_single_row_and_header_only(tmp_path):
     one = EmpiricalCCDF.from_csv(path)
     assert one.incomes.tolist() == [5.0] and one.p.tolist() == [0.5]
     path.write_text("5.0,0.5,0.7\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="two comma-separated"):
+    with pytest.raises(ParseError, match=r"got 3 fields, expected 2 \(income,ccdf\)") as err:
         EmpiricalCCDF.from_csv(path)
+    assert (err.value.line, err.value.column) == (1, 3)
     path.write_text("income,ccdf\n", encoding="utf-8")
     with pytest.warns(EmptyFileWarning), pytest.raises(ValueError, match="empty CCDF"):
         EmpiricalCCDF.from_csv(path)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("income,ccdf\n5.0,0.25\n0,0.5\n", 3, 1),
+    ("income,ccdf\n5.0,0.25\n\n4.0,-0.5\n", 4, 2),
+    ("5.0,nan\n", 1, 2),
+    ("5.0,0.25\n4.0,inf\n", 2, 2),
+])
+def test_from_csv_reports_non_positive_cell_position(tmp_path, text, line, column):
+    # every cell of either file kind is a positive finite decimal, checked at
+    # the reader, which knows the line and column
+    path = tmp_path / "c.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        EmpiricalCCDF.from_csv(path)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 # ---------------------------------------------- joined writers against per-row

@@ -154,10 +154,19 @@ def test_deep_tail_table_matches_scalar(params08, alpha1):
 
 
 def test_heavy_tail_quantile_round_trip(params08):
-    params = _with_alpha1(params08, 0.2)
+    # with alpha1 = 0.05 this quantile lies near 2e147, far past the 1e65
+    # that 200 doublings from ~1e5 would reach
     q = 1.0 - 1e-9
-    m = quantile(params, q)
-    assert ccdf_eval(params, m) == pytest.approx(1.0 - q, rel=1e-8, abs=0.0)
+    for alpha1 in (0.2, 0.05):
+        params = _with_alpha1(params08, alpha1)
+        m = quantile(params, q)
+        assert ccdf_eval(params, m) == pytest.approx(1.0 - q, rel=1e-8, abs=0.0)
+
+
+def test_quantile_beyond_float_range_is_value_error(params08):
+    params = _with_alpha1(params08, 0.01)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        quantile(params, 1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("alpha1", [0.01, 0.05])
@@ -207,6 +216,16 @@ def test_effective_to_coeffs_rejects_subunit_alpha(params08):
     bad = replace(params08, alpha=0.9, c_lo=None, c_hi=None)
     with pytest.raises(ValueError):
         effective_to_coeffs(bad)
+
+
+def test_continuity_underflow_names_temperatures(params08):
+    # the 2008 shape with a cold lower branch: exp(m0 (1/T1 - 1/T) u1) is 0
+    from dataclasses import replace
+    cold = replace(params08, T=100.0, c_lo=None, c_hi=None)
+    with pytest.raises(ValueError, match=r"underflows at m0/T1 = .*, m0/T = 1400,"):
+        continuity_ratio(cold)
+    with pytest.raises(ValueError, match="underflows"):
+        normalize(cold)
 
 
 def test_divergent_tail_rejected():
