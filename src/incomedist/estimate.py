@@ -55,7 +55,7 @@ from incomedist.model import (
     ModelParams,
     ParetoFit,
     TailDivergenceError,
-    ccdf_eval_many,
+    _ccdf_interpolator,
     normalize,
 )
 
@@ -409,12 +409,6 @@ def fit_rank(values) -> RankFit:
     )
 
 
-def _log_ccdf_objective(ccdf: EmpiricalCCDF, params: ModelParams, n_grid: int = 800) -> float:
-    model_pi = ccdf_eval_many(params, ccdf.incomes, n_grid=n_grid)
-    resid = np.log(model_pi) - np.log(ccdf.p)
-    return float(resid @ resid)
-
-
 def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     """Global joint refinement of T on [T, 1.5 T] and of the crossover m0.
 
@@ -427,6 +421,8 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     found.
     """
     tied = params.T1 == params.T
+    model_ccdf = _ccdf_interpolator(ccdf.incomes, params.m_init)
+    log_p = np.log(ccdf.p)
 
     def at(u) -> ModelParams:
         T = params.T * math.exp(u[0])
@@ -438,7 +434,8 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     def objective(u) -> float:
         if not params.m_init < params.m0 * math.exp(u[1]) <= params.m1:
             return math.inf
-        return _log_ccdf_objective(ccdf, at(u))
+        resid = np.log(model_ccdf(at(u), 800)) - log_p
+        return float(resid @ resid)
 
     base = objective((0.0, 0.0))
     res = optimize.minimize(

@@ -19,15 +19,16 @@ behaviour; alpha1 = 1 is the Zipf case).  The two branches are glued
 continuously at m1, and the overall constant is fixed by normalization over
 [m_init, infinity), with a reflecting lower bound at m_init > 0.
 
-All integrals are computed after the substitution u = arctan(m/m0), which maps
-[m, infinity) onto [arctan(m/m0), pi/2) and turns the density into
-m0 * c * exp(-(m0/T') u) * cos(u)^(a'-1), removing both the infinite domain
-and the heavy tail.  Next to pi/2 they run in the tail width
-w = pi/2 - u = arctan(m0/m), computed directly, so no difference of nearly
-equal angles is formed at large incomes, and the cos^(alpha1-1) endpoint
-singularity for alpha1 < 1 is absorbed by the further change of variables
-v = w^alpha1.  One evaluator sums these integrals over the intervals between
-ascending income nodes plus a closing tail integral; normalization, the
+All integrals are computed in the tail width w = arctan(m0/m), which maps
+[m, infinity) onto (0, arctan(m0/m)] and turns the density into
+m0 * c * exp(-(m0/T') (pi/2 - w)) * sin(w)^(a'-1), removing both the infinite
+domain and the heavy tail; w is computed directly, so no difference of
+nearly equal angles is formed at large incomes.  One evaluator integrates
+the intervals between ascending income nodes plus a closing interval to
+infinity with the fixed 21-point Gauss-Kronrod rule, every piece in one
+array pass: pieces are graded geometrically toward w = 0, which keeps the
+sin^(alpha1-1) endpoint singularity for alpha1 < 1 outside each of them, and
+the last stretch next to w = 0 is a short series.  Normalization, the
 scalar CCDF and the CCDF table are all calls to it.
 """
 
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 __all__ = [
     "TailDivergenceError",
@@ -60,12 +61,33 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
-# Width of the band next to pi/2 handled with the singularity-absorbing
-# substitution; outside it the integrand is smooth enough for plain quadrature.
-_SING_BAND = 0.25
-# Relative quadrature tolerance.  Normalization is contracted to 1e-10 and
-# tail probabilities to 1e-8; the quadrature runs tighter than both.
-_RTOL = 1e-12
+# An interval is integrated over at most _DECAY e-folds of exp(k w) down from
+# its low-income end: the rest holds under e^-99 of its mass, and the cut
+# bounds the piece count when k = m0/T' is large.
+_DECAY = 100.0
+# Below w = _NEAR0 / max(k, 1) the tail integral is a three-term series,
+# exact to rounding there (the next term is below (k w)^3 / 6 relative).
+_NEAR0 = 1e-5
+# QUADPACK's QK21 pair (Piessens et al. 1983): the 21 Kronrod nodes on
+# [-1, 1], and as two columns the Kronrod weights and the Kronrod weights
+# minus those of the embedded 10-point Gauss rule (its nodes are the odd
+# entries of _XK).
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077208980222111, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+_GK_X = np.concatenate((np.negative(_XK[:-1]), _XK[::-1]))
+_GK_W = np.column_stack((_WK, np.subtract(_WK, _WG)))[[*range(10), *range(10, -1, -1)]]
 _QUANTILE_RTOL = 1e-8
 # Incomes searched for quantiles and table edges stop here: a tail with
 # alpha1 of a few hundredths holds mass beyond the float range.
@@ -245,77 +267,74 @@ def continuity_ratio(params: ModelParams) -> float:
     return ratio
 
 
-def _regular_integral(k: float, alpha: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-
-    def f(u: float) -> float:
-        return math.exp(-k * u) * math.cos(u) ** (alpha - 1.0)
-
-    val, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=300)
-    return val
+def _split(n):
+    """Owner interval and rank of every piece when interval i is cut into n[i] pieces."""
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) - (np.cumsum(n) - n)[owner]
 
 
-def _endpoint_integral(k: float, alpha: float, w_lo: float, w_hi: float) -> float:
-    """Integral of exp(-k u) cos(u)^(alpha-1) over [pi/2 - w_hi, pi/2 - w_lo].
-
-    Substituting w = pi/2 - u and then v = w^alpha gives a smooth integrand
-    even for 0 < alpha < 1, where cos(u)^(alpha-1) diverges at pi/2, and the
-    limits keep full relative precision however close to pi/2 they lie.
-    """
-    if w_hi <= w_lo:
-        return 0.0
-    inv = 1.0 / alpha
-
-    def g(v: float) -> float:
-        w = v**inv
-        sinc = math.sin(w) / w if w > 0.0 else 1.0
-        # keep exp(-k pi/2) inside the exponent: the split product overflows
-        # once k * width exceeds ~709 even though the integrand itself is tiny
-        return inv * math.exp(k * (w - _HALF_PI)) * sinc ** (alpha - 1.0)
-
-    val, _ = integrate.quad(g, w_lo**alpha, w_hi**alpha, epsabs=0.0, epsrel=_RTOL, limit=300)
-    return val
+def _kronrod(f, lo, hi):
+    """K21 integrals of f over the pieces [lo, hi], and their |K21 - G10| estimates."""
+    half = 0.5 * (hi - lo)
+    kg = f((lo + half)[:, None] + half[:, None] * _GK_X) @ _GK_W
+    return half * kg[:, 0], half * np.abs(kg[:, 1])
 
 
-def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float) -> np.ndarray:
+def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
     """Tail mass above each of the ascending incomes ms for branch constants c_lo, c_hi.
 
-    One quadrature per interval between consecutive nodes, summed from the
-    top, plus one closing integral from the last node to infinity.  m1 is a
-    node whenever it lies inside the range, so no interval straddles the
-    branch switch and the closing integral always lies on the upper branch.
-    Near pi/2 the integrals run in the width w = pi/2 - u = arctan(m0/m),
-    computed directly rather than as a difference of nearly equal angles.
+    Returns the masses and the summed |K21 - G10| estimate of their error,
+    in the same units.  The nodes are ms plus m1 where it lies above ms[0],
+    so no interval straddles the branch switch, and the last interval runs
+    to infinity.  Every interval runs in the tail width w = arctan(m0/m),
+    where the density is m0 c exp(k (w - pi/2)) sin(w)^(alpha'-1), k = m0/T'.
+    It is cut uniformly into parts with k dw <= 1, and each part is graded
+    geometrically, a factor of at most 2 in w per piece, so every piece
+    lies at least its own width away from the sin^(alpha'-1) singularity at
+    w = 0.  Each piece gets one K21 rule, all in one array pass; the pieces
+    are summed per interval and the intervals from the top.  The last
+    interval's remainder below _NEAR0 / max(k, 1) is a series.
     """
     ms = np.asarray(ms, dtype=float)
-    nodes = np.union1d(ms, [params.m1]) if ms[0] < params.m1 else ms
-    us = np.arctan(nodes / params.m0)
-    ws = np.arctan2(params.m0, nodes)
-    k_lo = params.m0 / params.T
-    k_hi = params.m0 / params.T1
-    band = min(ws[-1], _SING_BAND)
-    closing = _endpoint_integral(k_hi, params.alpha1, 0.0, band) + _regular_integral(
-        k_hi, params.alpha1, _HALF_PI - ws[-1], _HALF_PI - band
+    nodes = np.sort(np.concatenate((ms, [params.m1]))) if ms[0] < params.m1 else ms
+    upper = nodes >= params.m1
+    k = params.m0 / np.where(upper, params.T1, params.T)
+    alpha = np.where(upper, params.alpha1, params.alpha)
+    w_hi = np.arctan2(params.m0, nodes)
+    k1, a1 = params.m0 / params.T1, params.alpha1  # the last interval's branch
+    eps = min(_NEAR0 / max(k1, 1.0), float(w_hi[-1]))
+    w_lo = np.maximum(np.concatenate((w_hi[1:], [eps])), w_hi - _DECAY / k)
+    n = np.ceil((w_hi - w_lo) * k).astype(int)
+    part, rank = _split(n)
+    step = (w_hi - w_lo)[part] / n[part]
+    w_a = w_lo[part] + step * rank
+    w_b = w_a + step
+    rungs = np.ceil(np.log2(w_b) - np.log2(w_a)).astype(int)
+    piece, rank = _split(rungs)
+    hi = np.ldexp(w_b[piece], -rank)
+    lo = np.where(rank == rungs[piece] - 1, w_a[piece], 0.5 * hi)
+    owner = part[piece]
+    kw = k[owner, None]
+    pw = alpha[owner, None] - 1.0
+    # exp(-k pi/2) stays inside the exponent: split off, exp(k w) would
+    # overflow once k w exceeds ~709 even where the integrand itself is tiny
+    mass, err = _kronrod(lambda w: np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw, lo, hi)
+    c = np.where(upper, c_hi, c_lo)
+    mass = c * np.bincount(owner, mass, nodes.size)
+    # exp(k w) sin(w)^(a-1) = w^(a-1) (1 + k w + (k^2/2 - (a-1)/6) w^2 + ...) on [0, eps]
+    mass[-1] += c_hi * math.exp(-k1 * _HALF_PI) * eps**a1 * (
+        1.0 / a1 + k1 * eps / (a1 + 1.0) + (0.5 * k1 * k1 - (a1 - 1.0) / 6.0) * eps * eps / (a1 + 2.0)
     )
-    tail = np.empty(nodes.size)
-    tail[-1] = c_hi * closing
-    for i in range(nodes.size - 2, -1, -1):
-        c, k, alpha = ((c_hi, k_hi, params.alpha1) if nodes[i] >= params.m1
-                       else (c_lo, k_lo, params.alpha))
-        if ws[i] <= _SING_BAND:
-            piece = _endpoint_integral(k, alpha, ws[i + 1], ws[i])
-        else:
-            piece = _regular_integral(k, alpha, us[i], us[i + 1])
-        tail[i] = tail[i + 1] + c * piece
-    return params.m0 * tail[np.searchsorted(nodes, ms)]
+    tail = np.cumsum(mass[::-1])[::-1]
+    err = c @ np.bincount(owner, err, nodes.size)
+    return params.m0 * tail[np.searchsorted(nodes, ms)], params.m0 * err
 
 
 def normalize(params: ModelParams) -> ModelParams:
     """Return a copy with c_lo, c_hi set so the density integrates to one.
 
     Raises TailDivergenceError when alpha1 <= 0: the substituted integrand
-    cos(u)^(alpha1 - 1) then fails to be integrable at pi/2, i.e. the raw
+    sin(w)^(alpha1 - 1) then fails to be integrable at w = 0, i.e. the raw
     tail carries infinite probability mass.
     """
     if params.alpha1 <= 0.0:
@@ -323,7 +342,8 @@ def normalize(params: ModelParams) -> ModelParams:
             f"tail mass diverges for alpha1 <= 0 (got alpha1={params.alpha1})"
         )
     ratio = continuity_ratio(params)
-    raw = float(_ccdf_nodes(params, [params.m_init], 1.0, ratio)[0])
+    tail, _ = _ccdf_nodes(params, [params.m_init], 1.0, ratio)
+    raw = float(tail[0])
     if not (raw > 0.0 and math.isfinite(raw)):
         raise ValueError(f"normalization integral is not positive and finite: {raw}")
     return replace(params, c_lo=1.0 / raw, c_hi=ratio / raw)
@@ -358,20 +378,22 @@ def pdf_eval(params: ModelParams, m):
 
 
 def ccdf_eval(params: ModelParams, m: float) -> float:
-    """Tail probability P(income > m), by quadrature in the arctan variable."""
+    """Tail probability P(income > m), by quadrature in the tail width arctan(m0/m)."""
     _require_normalized(params)
     if m < params.m_init:
         raise ValueError(f"m must be >= m_init, got {m}")
-    return float(_ccdf_nodes(params, [m], params.c_lo, params.c_hi)[0])
+    tail, _ = _ccdf_nodes(params, [m], params.c_lo, params.c_hi)
+    return float(tail[0])
 
 
 def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
     """CCDF on a log-spaced income grid, by cumulative interval quadrature.
 
-    Returns (ms, Pi) with ms[0] == m_init.  Each grid value is exact up to
-    quadrature tolerance (the grid is only a shared set of evaluation points,
-    not an approximation scheme); m1 is inserted as a node so no interval
-    straddles the branch switch.
+    Returns (ms, Pi) with ms[0] == m_init.  The grid is only a shared set of
+    evaluation points, not an approximation scheme: every interval between
+    grid points is integrated with the same K21 rule on graded pieces, all in
+    one array pass, so each value is as accurate as a scalar ccdf_eval; m1 is
+    inserted as a node so no interval straddles the branch switch.
     """
     _require_normalized(params)
     if not m_hi > params.m_init:
@@ -380,7 +402,8 @@ def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
     ms[0] = params.m_init
     if params.m_init < params.m1 < m_hi:
         ms = np.unique(np.append(ms, params.m1))
-    return ms, _ccdf_nodes(params, ms, params.c_lo, params.c_hi)
+    tail, _ = _ccdf_nodes(params, ms, params.c_lo, params.c_hi)
+    return ms, tail
 
 
 def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
@@ -389,16 +412,30 @@ def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
     Suitable for bulk evaluation (goodness-of-fit objectives, KS statistics);
     interpolation error on the default grid is far below 1e-4 relative.
     """
-    arr = np.asarray(ms, dtype=float)
-    if arr.size == 0:
+    if np.size(ms) == 0:
         return np.empty(0)
-    if np.any(arr < params.m_init):
+    return _ccdf_interpolator(ms, params.m_init)(params, n_grid)
+
+
+def _ccdf_interpolator(ms, m_init: float):
+    """The data-side work of ccdf_eval_many on the non-empty incomes ms, done once.
+
+    Returns a function of (params, n_grid), for parameter sets with this
+    m_init, that gives the CCDF at ms as ccdf_eval_many does; a fit calls
+    it on every objective evaluation.
+    """
+    arr = np.asarray(ms, dtype=float)
+    if np.any(arr < m_init):
         raise ValueError("all incomes must be >= m_init")
-    grid_m, grid_pi = ccdf_table(params, float(arr.max()) * (1.0 + 1e-12), n_grid)
-    with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
-        log_pi = np.log(grid_pi)
-    out = np.interp(np.log(arr), np.log(grid_m), log_pi)
-    return np.exp(out)
+    log_ms, m_max = np.log(arr), float(arr.max())
+
+    def ccdf(params: ModelParams, n_grid: int) -> np.ndarray:
+        grid_m, grid_pi = ccdf_table(params, m_max * (1.0 + 1e-12), n_grid)
+        with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
+            log_pi = np.log(grid_pi)
+        return np.exp(np.interp(log_ms, np.log(grid_m), log_pi))
+
+    return ccdf
 
 
 def _edge(params: ModelParams, p: float, m: float) -> float:

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
 
 from incomedist import (
     LangevinCoeffs,
@@ -23,6 +25,7 @@ from incomedist import (
     quantile,
     sample_incomes,
 )
+from incomedist.model import _ccdf_nodes
 
 # Frozen two-branch constants for the bundled parameter sets, computed once
 # against a 50-digit arbitrary-precision quadrature of the same integrals.
@@ -303,3 +306,128 @@ def test_single_branch_reduction_threshold_independence():
     pa = ccdf_eval_many(a, ms)
     pb = ccdf_eval_many(b, ms)
     assert np.max(np.abs(pa / pb - 1.0)) < 1e-9
+
+
+def _quad_ccdf(params, ms):
+    """CCDF at the ascending incomes ms by one adaptive scipy quad per interval.
+
+    An oracle independent of the model's fixed-rule engine: below the band
+    node m0/tan(0.25) it integrates exp(-k u) cos(u)^(a-1) in u = arctan(m/m0);
+    above it, in v = w^a with w = arctan(m0/m), which absorbs the endpoint
+    singularity at w = 0.
+    """
+    def regular(k, a, lo, hi):
+        f = lambda u: math.exp(-k * u) * math.cos(u) ** (a - 1.0)
+        return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=300)[0] if hi > lo else 0.0
+
+    def endpoint(k, a, w_lo, w_hi):
+        def g(v):
+            w = v ** (1.0 / a)
+            sinc = math.sin(w) / w if w > 0.0 else 1.0
+            return math.exp(k * (w - math.pi / 2)) * sinc ** (a - 1.0) / a
+        return (integrate.quad(g, w_lo**a, w_hi**a, epsabs=0.0, epsrel=1e-12, limit=300)[0]
+                if w_hi > w_lo else 0.0)
+
+    nodes = np.union1d(ms, [params.m1]) if ms[0] < params.m1 else np.asarray(ms, float)
+    us, ws = np.arctan(nodes / params.m0), np.arctan2(params.m0, nodes)
+    branch = lambda m: ((params.c_hi, params.m0 / params.T1, params.alpha1) if m >= params.m1
+                        else (params.c_lo, params.m0 / params.T, params.alpha))
+    c, k, a = branch(nodes[-1])
+    band = min(ws[-1], 0.25)
+    tail = [c * (endpoint(k, a, 0.0, band) + regular(k, a, math.pi / 2 - ws[-1], math.pi / 2 - band))]
+    for i in range(nodes.size - 2, -1, -1):
+        c, k, a = branch(nodes[i])
+        piece = (endpoint(k, a, ws[i + 1], ws[i]) if ws[i] <= 0.25
+                 else regular(k, a, us[i], us[i + 1]))
+        tail.append(tail[-1] + c * piece)
+    tail = np.array(tail[::-1])
+    return params.m0 * tail[np.searchsorted(nodes, ms)]
+
+
+def _wave_sets(seed, n):
+    """Random parameter sets in the ranges of the synthetic-waves benchmark."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        T = math.exp(rng.uniform(math.log(1e4), math.log(1e5)))
+        m0 = T * rng.uniform(1.5, 6.0)
+        out.append(normalize(ModelParams(
+            T=T, T1=T * rng.uniform(0.7, 1.5), alpha=rng.uniform(1.2, 4.0),
+            alpha1=rng.uniform(0.2, 2.0), m0=m0,
+            m1=m0 * math.exp(rng.uniform(math.log(1.5), math.log(20.0))), m_init=0.01)))
+    return out
+
+
+def _probes(params):
+    return (params.m0, params.m1, 10.0 * params.m1, 1e6 * params.m0)
+
+
+def _assert_matches_oracle(params, rel):
+    # the oracle at m_init checks the engine's normalization constants
+    assert _quad_ccdf(params, [params.m_init])[0] == pytest.approx(1.0, rel=rel, abs=0.0)
+    grid_m, grid_pi = ccdf_table(params, 1e6 * params.m0, n_grid=40)
+    np.testing.assert_allclose(grid_pi, _quad_ccdf(params, grid_m), rtol=rel, atol=0.0)
+    for m in _probes(params):
+        assert ccdf_eval(params, m) == pytest.approx(_quad_ccdf(params, [m])[0], rel=rel, abs=0.0)
+
+
+def test_engine_matches_adaptive_quadrature():
+    for params in _wave_sets(606, 30):
+        _assert_matches_oracle(params, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha1,k", [(0.023, 129.0), (0.0104, 222.0)])
+def test_engine_matches_adaptive_quadrature_wide_domain(alpha1, k):
+    # heavy tails behind cold branches: a piece wider than 1/k in w would span
+    # a factor e^k of the integrand
+    _assert_matches_oracle(normalize(ModelParams(
+        T=1e3, T1=1e3, alpha=2.5, alpha1=alpha1, m0=k * 1e3, m1=3.0 * k * 1e3, m_init=0.01,
+    )), rel=1e-10)
+
+
+@pytest.mark.parametrize("which", ["presets", "random"])
+def test_engine_error_estimate_is_rounding_level(params06, params08, which):
+    # the summed |K21 - G10| estimate is in probability units (it includes
+    # the factor m0 and the branch constants)
+    sets = [params06, params08] if which == "presets" else _wave_sets(707, 50)
+    for params in sets:
+        ms = np.geomspace(params.m_init, 1e15 * params.m0, 400)
+        for nodes in [ms] + [[m] for m in _probes(params)]:
+            _, err = _ccdf_nodes(params, nodes, params.c_lo, params.c_hi)
+            assert err < 1e-13
+
+
+@pytest.mark.parametrize("alpha1", [0.01, 0.05, 0.2])
+def test_engine_raises_no_floating_point_warnings(params08, alpha1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = _with_alpha1(params08, alpha1)
+        grid_m, grid_pi = ccdf_table(params, 1e15 * params.m0, n_grid=200)
+        assert np.all(grid_pi > 0.0)
+        assert ccdf_eval(params, 1e15 * params.m0) > 0.0
+        assert quantile(params, 0.5) > params.m_init
+        assert np.all(np.isfinite(sample_incomes(params, 2000, seed=3)))
+
+
+@pytest.mark.parametrize("k", [0.3, 3.0, 1e3, 1e5])
+def test_single_exponent_law_matches_closed_form(k):
+    # alpha = alpha1 = 1 with T = T1 leaves exp(-k u) du, whose tail mass is
+    # closed-form.  The bulk sits within 1/k of w = pi/2, where w itself is
+    # only resolved to ~1e-16, so the error grows like k * 1e-16
+    m0 = 1e5
+    params = normalize(ModelParams(T=m0 / k, T1=m0 / k, alpha=1.0, alpha1=1.0,
+                                   m0=m0, m1=2.0 * m0, m_init=0.01))
+    u_i, w_i = math.atan(params.m_init / m0), math.atan2(m0, params.m_init)
+
+    def exact(m):
+        return (math.exp(-k * (math.atan(m / m0) - u_i))
+                * math.expm1(-k * math.atan2(m0, m)) / math.expm1(-k * w_i))
+
+    rel = 1e-15 * max(k, 4.0)
+    grid_m, grid_pi = ccdf_table(params, 1e15 * m0, n_grid=300)
+    for m, pi in zip(grid_m, grid_pi):
+        if exact(m) > 1e-300:
+            assert pi == pytest.approx(exact(m), rel=rel, abs=0.0)
+    for m in (params.m_init + 0.5 * m0 / k, params.m_init + 10.0 * m0 / k, 3.0 * m0, 1e15 * m0):
+        if exact(m) > 1e-300:
+            assert ccdf_eval(params, m) == pytest.approx(exact(m), rel=rel, abs=0.0)
