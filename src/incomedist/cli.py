@@ -1,8 +1,9 @@
 """Command-line front end: plumbing from CSV/JSON files to the library calls.
 
 Subcommands: ccdf, fuse, fit, eval, simulate, stats, rank.  Every subcommand
-is deterministic given its inputs and --seed; outputs are UTF-8 with LF line
-endings and repr-formatted floats, so identical runs produce identical bytes.
+is deterministic given its inputs (and simulate's --seed); outputs are UTF-8
+with LF line endings and repr-formatted floats, so identical runs produce
+identical bytes.
 
 Exit codes: 0 success, 1 internal error, 2 input/parse error, 3 estimation
 failure.
@@ -225,7 +226,6 @@ def cmd_rank(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="output file (default: per-subcommand name in cwd)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (simulate)")
     common.add_argument("--quiet", action="store_true", help="suppress summary chatter")
 
     p = argparse.ArgumentParser(
@@ -273,6 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="reflecting floor (coefficient input only)")
     sp.add_argument("--initial", type=float, help="common initial income (default: additive-regime mean)")
     sp.add_argument("--float32", action="store_true", help="single-precision paths (faster)")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.set_defaults(func=cmd_simulate, default_output="samples.csv")
 
     sp = sub.add_parser("stats", parents=[common],

@@ -22,7 +22,9 @@ strictly-exponential description, not the generative crossover; step 3
 re-estimates the crossover.
 
 Step 2 reads the temperature T from segment 1 and the exponents alpha, alpha1
-from segments 2 and 3; T1 = T is imposed throughout.
+from segments 2 and 3; T1 = T is imposed throughout.  These are the winning
+index segments of the search, read from its own prefix tables, so incomes
+tied at a break stay in the segment the search scored them in.
 
 Step 3 refines T and m0 jointly by minimizing the log-CCDF misfit of the full
 normalized model over all points, with T in [T, 1.5 T] and m0 starting at
@@ -169,17 +171,20 @@ class FitReport:
 class _PrefixOLS:
     """O(1) OLS over any contiguous index range of a fixed sample.
 
-    Prefix sums are taken on globally centered data to keep the catastrophic
-    cancellation in var/cov differences at bay.
+    Each difference of prefix sums loses digits in proportion to how far the
+    table's centre lies from the segment's own values, so the data are
+    centred at their medians.  A mean would not do: with alpha1 < 1 the tail
+    drags the mean of raw incomes to 1e10 and beyond, where the exponential
+    segment's SSR loses every digit (Chan, Golub & LeVeque 1983).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x_shift = float(x.mean())
-        self.y_shift = float(y.mean())
-        self.cx = cx = x - self.x_shift
-        self.cy = cy = y - self.y_shift
+        self.x, self.y = x, y
+        self.x_shift = float(np.median(x))
+        self.y_shift = float(np.median(y))
+        cx = x - self.x_shift
+        cy = y - self.y_shift
         z = np.zeros(1)
-        self.n_pts = np.concatenate([z, np.cumsum(np.ones_like(x))])
         self.sx = np.concatenate([z, np.cumsum(cx)])
         self.sy = np.concatenate([z, np.cumsum(cy)])
         self.sxx = np.concatenate([z, np.cumsum(cx * cx)])
@@ -188,10 +193,8 @@ class _PrefixOLS:
 
     def moments(self, i, j):
         """Segment moments (n, var_x, cov, var_y) for [i, j)."""
-        i = np.asarray(i)
-        j = np.asarray(j)
         with np.errstate(divide="ignore", invalid="ignore"):
-            n = self.n_pts[j] - self.n_pts[i]
+            n = j - i
             sx = self.sx[j] - self.sx[i]
             sy = self.sy[j] - self.sy[i]
             var_x = (self.sxx[j] - self.sxx[i]) - sx * sx / n
@@ -205,14 +208,9 @@ class _PrefixOLS:
             out = var_y - np.where(var_x > 0.0, cov * cov / var_x, 0.0)
         return np.maximum(out, 0.0)
 
-    def line(self, i: int, j: int) -> tuple[float, float, float, float]:
-        """slope, intercept (original coordinates), ssr, slope stderr.
-
-        The stderr is the increment sandwich of `_increment_stderr`, so it
-        costs O(j - i) where the other outputs are O(1).
-        """
+    def line(self, i: int, j: int) -> tuple[float, float, float]:
+        """slope, intercept (original coordinates) and ssr over [i, j), in O(1)."""
         n, var_x, cov, var_y = self.moments(i, j)
-        n = float(n)
         if not (var_x > 0.0):
             raise EstimationError("zero x-variance in regression window")
         slope = float(cov / var_x)
@@ -222,8 +220,11 @@ class _PrefixOLS:
         intercept = (
             (sy - slope * sx) / n + self.y_shift - slope * self.x_shift
         )
-        stderr = _increment_stderr(self.cx[i:j], self.cy[i:j], slope)
-        return slope, intercept, ssr, stderr
+        return slope, intercept, ssr
+
+    def stderr(self, i: int, j: int, slope: float) -> float:
+        """Standard error of the slope over [i, j) (see `_increment_stderr`), in O(j - i)."""
+        return _increment_stderr(self.x[i:j], self.y[i:j], slope)
 
 
 def _increment_stderr(x: np.ndarray, y: np.ndarray, slope: float) -> float:
@@ -238,13 +239,14 @@ def _increment_stderr(x: np.ndarray, y: np.ndarray, slope: float) -> float:
 
         se^2 = sum_j W_j^2 (r_{j+1} - r_j)^2.
 
-    On an exact law the residual increments, and so the stderr, are rounding
-    noise.  At large rank windows it matches the QQ-estimator asymptotic
-    alpha * sqrt(2 / k) (Kratz & Resnick 1996).
+    The increments are formed as diff(y) - slope * diff(x), so a shift of x
+    or y cancels exactly.  On an exact law they, and so the stderr, are
+    rounding noise.  At large rank windows the stderr matches the
+    QQ-estimator asymptotic alpha * sqrt(2 / k) (Kratz & Resnick 1996).
     """
     dx = x - x.mean()
     weights = np.cumsum(dx[:-1]) / float(dx @ dx)
-    steps = np.diff(y - slope * x)
+    steps = np.diff(y) - slope * np.diff(x)
     return math.sqrt(float(np.sum((weights * steps) ** 2)))
 
 
@@ -268,7 +270,13 @@ def _candidate_indices(n: int, min_segment: int) -> np.ndarray:
 
 
 def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
-    """Grid search over boundary index pairs; returns the optimum and profiles."""
+    """Grid search over boundary index pairs.
+
+    Returns the optimum, its uncertainty profiles and the three winning lines,
+    read from the same two prefix tables that scored them: the slopes and
+    SSRs of segments [0, i), [i, j) and [j, n), and the slope standard
+    errors of the two power-law segments.
+    """
     x, p = _ascending(ccdf)
     n = x.size
     if n < 30:
@@ -294,7 +302,7 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
     total = np.where(valid, ssr1 + ssr2 + ssr3, np.inf)
 
     flat = int(np.argmin(total))  # first minimum: smallest m0, then smallest m1
-    i_opt, j_opt = idx[flat // k], idx[flat % k]
+    i, j = int(idx[flat // k]), int(idx[flat % k])
     best = float(total.flat[flat])
     if not math.isfinite(best):
         raise EstimationError("no admissible segmentation found")
@@ -306,21 +314,21 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
     m0_set = x[idx[m0_profile <= thresh]]
     m1_set = x[idx[m1_profile <= thresh]]
 
-    degenerate = j_opt >= n - min_segment
+    degenerate = j >= n - min_segment
     if degenerate:
         warnings.warn(
             "third segment pinned at the data edge; no distinct high-income regime",
             DegenerateTailWarning,
             stacklevel=3,
         )
+    (s1, _, r1), (s2, _, r2), (s3, _, r3) = lin.line(0, i), loglog.line(i, j), loglog.line(j, n)
     return {
-        "i": int(i_opt), "j": int(j_opt),
-        "m0": float(x[i_opt]), "m1": float(x[j_opt]),
-        "ssr": (float(ssr1[np.searchsorted(idx, i_opt), 0]),
-                float(ssr2[np.searchsorted(idx, i_opt), np.searchsorted(idx, j_opt)]),
-                float(ssr3[0, np.searchsorted(idx, j_opt)])),
-        "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i_opt])) if m0_set.size else 0.0,
-        "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j_opt])) if m1_set.size else 0.0,
+        "m0": float(x[i]), "m1": float(x[j]),
+        "slopes": (s1, s2, s3),
+        "ssr": (r1, r2, r3),
+        "slope_se": (loglog.stderr(i, j, s2), loglog.stderr(j, n, s3)),
+        "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i])) if m0_set.size else 0.0,
+        "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j])) if m1_set.size else 0.0,
         "degenerate": bool(degenerate),
     }
 
@@ -349,8 +357,7 @@ def fit_temperature(ccdf: EmpiricalCCDF, m_init: float, m0: float) -> float:
         raise EstimationError(
             f"need >= {MIN_SEGMENT} points in [{m_init}, {m0}), got {x.size}"
         )
-    ols = _PrefixOLS(x - m_init, np.log(p))
-    slope, _, _, _ = ols.line(0, x.size)
+    slope, _, _ = _PrefixOLS(x - m_init, np.log(p)).line(0, x.size)
     if slope >= 0.0:
         raise EstimationError("exponential window has non-decaying CCDF")
     return -1.0 / slope
@@ -371,14 +378,14 @@ def fit_pareto_exponent(ccdf: EmpiricalCCDF, lo: float, hi: float = math.inf) ->
             f"need >= {MIN_SEGMENT} points in [{lo}, {hi}), got {x.size}"
         )
     ols = _PrefixOLS(np.log(x), np.log(p))
-    slope, intercept, ssr, stderr = ols.line(0, x.size)
+    slope, intercept, ssr = ols.line(0, x.size)
     if slope >= 0.0:
         raise EstimationError("window is not power-law decreasing")
     alpha = -slope
     m_sp = math.exp(intercept / alpha)
     return ParetoSegmentFit(
         fit=ParetoFit(m_sp=m_sp, alpha=alpha),
-        stderr=stderr, ssr=ssr, n_points=int(x.size),
+        stderr=ols.stderr(0, x.size, slope), ssr=ssr, n_points=int(x.size),
     )
 
 
@@ -398,14 +405,14 @@ def fit_rank(values) -> RankFit:
     ordered = np.sort(arr)[::-1]
     ln_rank = np.log(np.arange(1, arr.size + 1, dtype=float))
     ols = _PrefixOLS(ln_rank, np.log(ordered))
-    slope, _, _, stderr = ols.line(0, arr.size)
+    slope, _, _ = ols.line(0, arr.size)
     if slope >= 0.0:
         raise EstimationError("values do not decay with rank; exponent undefined")
     alpha_rank = -slope
     return RankFit(
         alpha_rank=alpha_rank,
         alpha_pareto=1.0 / alpha_rank,
-        stderr=stderr / (alpha_rank * alpha_rank),
+        stderr=ols.stderr(0, arr.size, slope) / (alpha_rank * alpha_rank),
     )
 
 
@@ -421,7 +428,7 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     found.
     """
     tied = params.T1 == params.T
-    model_ccdf = _ccdf_interpolator(ccdf.incomes, params.m_init)
+    model_log_ccdf = _ccdf_interpolator(ccdf.incomes, params.m_init)
     log_p = np.log(ccdf.p)
 
     def at(u) -> ModelParams:
@@ -434,7 +441,7 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     def objective(u) -> float:
         if not params.m_init < params.m0 * math.exp(u[1]) <= params.m1:
             return math.inf
-        resid = np.log(model_ccdf(at(u), 800)) - log_p
+        resid = model_log_ccdf(at(u), 800) - log_p
         return float(resid @ resid)
 
     base = objective((0.0, 0.0))
@@ -451,19 +458,22 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
 def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:
     """Run the complete three-step procedure and assemble a FitReport.
 
-    Steps: crossover search, segment fits for T/alpha/alpha1 (T1 = T
-    imposed), model assembly and normalization, then the global joint
-    refinement of T and m0.  The segment breaks stay in the report as
+    Steps: crossover search, whose winning segments give T/alpha/alpha1
+    (T1 = T imposed), model assembly and normalization, then the global
+    joint refinement of T and m0.  The segment breaks stay in the report as
     m0_hat and m1_hat.
     """
     res = _search_segments(ccdf)
     m0_hat, m1_hat = res["m0"], res["m1"]
-    T_bg = fit_temperature(ccdf, m_init, m0_hat)
-    seg2 = fit_pareto_exponent(ccdf, m0_hat, m1_hat)
-    seg3 = fit_pareto_exponent(ccdf, m1_hat)
+    slope1, slope2, slope3 = res["slopes"]
+    if slope1 >= 0.0:
+        raise EstimationError("exponential window has non-decaying CCDF")
+    if slope2 >= 0.0 or slope3 >= 0.0:
+        raise EstimationError("window is not power-law decreasing")
+    T_bg, alpha, alpha1 = -1.0 / slope1, -slope2, -slope3
     try:
         params = normalize(ModelParams(
-            T=T_bg, T1=T_bg, alpha=seg2.fit.alpha, alpha1=seg3.fit.alpha,
+            T=T_bg, T1=T_bg, alpha=alpha, alpha1=alpha1,
             m0=m0_hat, m1=m1_hat, m_init=m_init,
         ))
     except (TailDivergenceError, ValueError) as exc:
@@ -472,8 +482,8 @@ def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:
     return FitReport(
         params=refined,
         T_bg=T_bg,
-        alpha_fit=seg2.fit.alpha, alpha_se=seg2.stderr,
-        alpha1_fit=seg3.fit.alpha, alpha1_se=seg3.stderr,
+        alpha_fit=alpha, alpha_se=res["slope_se"][0],
+        alpha1_fit=alpha1, alpha1_se=res["slope_se"][1],
         m0_hat=m0_hat, m0_rel_unc=res["m0_rel_unc"],
         m1_hat=m1_hat, m1_rel_unc=res["m1_rel_unc"],
         ssr_per_segment=res["ssr"],

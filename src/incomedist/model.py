@@ -414,28 +414,30 @@ def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
     """
     if np.size(ms) == 0:
         return np.empty(0)
-    return _ccdf_interpolator(ms, params.m_init)(params, n_grid)
+    return np.exp(_ccdf_interpolator(ms, params.m_init)(params, n_grid))
 
 
 def _ccdf_interpolator(ms, m_init: float):
     """The data-side work of ccdf_eval_many on the non-empty incomes ms, done once.
 
     Returns a function of (params, n_grid), for parameter sets with this
-    m_init, that gives the CCDF at ms as ccdf_eval_many does; a fit calls
-    it on every objective evaluation.
+    m_init, that gives the log CCDF at ms, interpolated linearly in log-log
+    coordinates on a ccdf_table grid (-inf where the tail underflows);
+    ccdf_eval_many returns its exp, and a fit compares it with the log of
+    the empirical CCDF on every objective evaluation.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
         raise ValueError("all incomes must be >= m_init")
     log_ms, m_max = np.log(arr), float(arr.max())
 
-    def ccdf(params: ModelParams, n_grid: int) -> np.ndarray:
+    def log_ccdf(params: ModelParams, n_grid: int) -> np.ndarray:
         grid_m, grid_pi = ccdf_table(params, m_max * (1.0 + 1e-12), n_grid)
         with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
             log_pi = np.log(grid_pi)
-        return np.exp(np.interp(log_ms, np.log(grid_m), log_pi))
+        return np.interp(log_ms, np.log(grid_m), log_pi)
 
-    return ccdf
+    return log_ccdf
 
 
 def _edge(params: ModelParams, p: float, m: float) -> float:

@@ -338,6 +338,15 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_seed_is_a_simulate_option_only(tmp_path):
+    # only simulate draws random numbers; elsewhere --seed is a usage error
+    inp = tmp_path / "inc.csv"
+    _income_csv(inp, [1.0, 2.0, 3.0])
+    with pytest.raises(SystemExit) as exc:
+        main(["ccdf", str(inp), "--seed", "1", "--output", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+
+
 # ------------------------------------------------- fit.json as parameter input
 
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from incomedist import (
     fit_pareto_exponent,
     fit_rank,
     fit_temperature,
+    normalize,
     rank_ccdf,
     refine_temperature,
     sample_incomes,
 )
-from incomedist.estimate import _PrefixOLS, _candidate_indices, _search_segments
+from incomedist import estimate
+from incomedist.estimate import MIN_SEGMENT, _PrefixOLS, _candidate_indices, _search_segments
 
 from conftest import noiseless_ccdf
 
@@ -41,7 +44,7 @@ def test_prefix_ols_matches_polyfit():
     y = 2.5 * x - 1.0 + rng.normal(scale=0.2, size=300)
     ols = _PrefixOLS(x, y)
     for (i, j) in [(0, 300), (10, 200), (250, 299), (0, 3)]:
-        slope, intercept, ssr, _ = ols.line(i, j)
+        slope, intercept, ssr = ols.line(i, j)
         ref = np.polyfit(x[i:j], y[i:j], 1)
         assert slope == pytest.approx(ref[0], rel=1e-9)
         assert intercept == pytest.approx(ref[1], rel=1e-9, abs=1e-12)
@@ -251,3 +254,117 @@ def test_fit_full_scale_covariance(params08):
 def test_fit_pareto_recovers_any_exact_law(alpha, m_sp):
     seg = fit_pareto_exponent(_exact_power(n=200, alpha=alpha, m_sp=m_sp), 0.0)
     assert seg.fit.alpha == pytest.approx(alpha, rel=1e-8)
+
+
+# ------------------------------------------- the search against two-pass OLS
+
+
+def _ols_slope(x, y):
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
+
+
+def _segment_ssr(x, y, bounds):
+    """SSR of y on x over every [bounds[a], bounds[b]), a < b, as a matrix (inf elsewhere).
+
+    Each block between adjacent bounds is centred at its own means (two-pass),
+    and blocks are joined by the pairwise update of Chan, Golub & LeVeque
+    (1983), so no difference of large running sums is ever formed.
+    """
+    blocks = [(x[lo:hi], y[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    cnt = np.diff(bounds).astype(float)
+    mx = np.array([bx.mean() for bx, _ in blocks])
+    my = np.array([by.mean() for _, by in blocks])
+    sxx = np.array([((bx - bx.mean()) ** 2).sum() for bx, _ in blocks])
+    sxy = np.array([(bx - bx.mean()) @ (by - by.mean()) for bx, by in blocks])
+    syy = np.array([((by - by.mean()) ** 2).sum() for _, by in blocks])
+    k = cnt.size
+    out = np.full((k + 1, k + 1), np.inf)
+    n, ax, ay, axx, axy, ayy = cnt, mx, my, sxx, sxy, syy
+    for t in range(k):
+        # entry a now spans blocks a..a+t, that is [bounds[a], bounds[a+t+1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = np.where(axx > 0.0, axy * axy / axx, 0.0)
+        out[np.arange(k - t), np.arange(t + 1, k + 1)] = np.maximum(ayy - fit, 0.0)
+        nb, dx, dy = cnt[t + 1:], mx[t + 1:] - ax[:-1], my[t + 1:] - ay[:-1]
+        na = n[:-1]
+        n = na + nb
+        w = na * nb / n
+        ax, ay = ax[:-1] + dx * nb / n, ay[:-1] + dy * nb / n
+        axx = axx[:-1] + sxx[t + 1:] + dx * dx * w
+        axy = axy[:-1] + sxy[t + 1:] + dx * dy * w
+        ayy = ayy[:-1] + syy[t + 1:] + dy * dy * w
+    return out
+
+
+def _two_pass_search(ccdf):
+    """The crossover search of `estimate`, scored with two-pass SSRs: (i, j)."""
+    x = ccdf.incomes[::-1]
+    lnp = np.log(ccdf.p[::-1])
+    n = x.size
+    idx = _candidate_indices(n, MIN_SEGMENT)
+    bounds = np.concatenate([[0], idx, [n]])
+    lin = _segment_ssr(x, lnp, bounds)
+    loglog = _segment_ssr(np.log(x), lnp, bounds)
+    at = np.arange(1, idx.size + 1)  # where the candidates sit in bounds
+    total = lin[0, at][:, None] + loglog[at[:, None], at[None, :]] + loglog[at, -1][None, :]
+    total[idx[None, :] - idx[:, None] < MIN_SEGMENT] = np.inf
+    flat = int(np.argmin(total))
+    return int(idx[flat // idx.size]), int(idx[flat % idx.size])
+
+
+@pytest.fixture(scope="module", params=[0.2, 0.3])
+def heavy_tail_ccdf(request, params08):
+    # the 2008 shape with a Zipf-like tail: the mean of raw incomes sits
+    # near 1e16 (alpha1 = 0.2), far above every exponential-segment income
+    params = normalize(replace(params08, alpha1=request.param, c_lo=None, c_hi=None))
+    return rank_ccdf(sample_incomes(params, 100_000, seed=3))
+
+
+def test_heavy_tail_crossovers_match_two_pass_search(heavy_tail_ccdf):
+    i, j = _two_pass_search(heavy_tail_ccdf)
+    x = heavy_tail_ccdf.incomes[::-1]
+    assert detect_crossovers(heavy_tail_ccdf) == (x[i], x[j])
+
+
+def test_heavy_tail_segment_fits_match_two_pass_ols(heavy_tail_ccdf):
+    i, j = _two_pass_search(heavy_tail_ccdf)
+    x = heavy_tail_ccdf.incomes[::-1]
+    lnx, lnp = np.log(x), np.log(heavy_tail_ccdf.p[::-1])
+    report = fit_full(heavy_tail_ccdf, 0.01)
+    assert report.T_bg == pytest.approx(-1.0 / _ols_slope(x[:i], lnp[:i]), rel=1e-9)
+    assert report.alpha_fit == pytest.approx(-_ols_slope(lnx[i:j], lnp[i:j]), rel=1e-9)
+    assert report.alpha1_fit == pytest.approx(-_ols_slope(lnx[j:], lnp[j:]), rel=1e-9)
+
+
+def test_segment_fit_keeps_ties_where_the_search_put_them(params08):
+    # incomes rounded to 100: several equal m0_hat, some of them below the
+    # search's break index; the fit must read the segment the search scored
+    incomes = np.round(sample_incomes(params08, 100_000, seed=4242) / 100.0) * 100.0
+    ccdf = rank_ccdf(incomes[incomes > 0.0])
+    i, j = _two_pass_search(ccdf)
+    x = ccdf.incomes[::-1]
+    report = fit_full(ccdf, 0.01)
+    assert (report.m0_hat, report.m1_hat) == (x[i], x[j])
+    assert x[i - 1] == report.m0_hat
+    lnx, lnp = np.log(x), np.log(ccdf.p[::-1])
+    assert report.alpha_fit == pytest.approx(-_ols_slope(lnx[i:j], lnp[i:j]), rel=1e-9)
+
+
+def test_fit_full_builds_only_the_search_tables(monkeypatch, params08):
+    built = []
+
+    class Counted(_PrefixOLS):
+        def __init__(self, x, y):
+            built.append(x.size)
+            super().__init__(x, y)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_full must read the search's own segment fits")
+
+    monkeypatch.setattr(estimate, "_PrefixOLS", Counted)
+    for name in ("fit_temperature", "fit_pareto_exponent", "_window"):
+        monkeypatch.setattr(estimate, name, forbidden)
+    ccdf = rank_ccdf(sample_incomes(params08, 20_000, seed=5))
+    fit_full(ccdf, 0.01)
+    assert built == [ccdf.n, ccdf.n]
