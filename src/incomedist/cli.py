@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError(f"{args.config}: neither model parameters, coefficients, "
                          "nor a simulation config")
-    dt = args.dt if args.dt else 0.01 * stability_bound(coeffs)
+    dt = args.dt if args.dt is not None else 0.01 * stability_bound(coeffs)
     config = SimConfig(
         coeffs=coeffs, m1=m1, m_init=m_init, dt=dt,
         n_steps=args.n_steps, n_paths=args.n_paths,

@@ -5,11 +5,13 @@ point (Ito convention), with the drift switching linearly at the threshold m1
 and a reflecting boundary at m_init keeping the support on [m_init, inf).
 
 Paths are advanced in fixed-size blocks, each block drawing from its own
-child of the master seed sequence, so results are bit-identical no matter
-how blocks are scheduled.  The per-step noise cost dominates; a float32 mode
-halves it when the ~1e-7 relative rounding is irrelevant (it is, for
-distribution-level statistics: income scales are ~1e4..1e7 and step noise is
-~1e2..1e3).
+child of the master seed sequence.  The blocks run on a thread pool of
+min(n_blocks, available CPUs) workers (numpy's RNG and ufuncs release the
+GIL) and update preallocated buffers in place; results are bit-identical
+whatever the thread count or schedule.  The per-step noise cost dominates;
+a float32 mode halves it when the ~1e-7 relative rounding is irrelevant (it
+is, for distribution-level statistics: income scales are ~1e4..1e7 and step
+noise is ~1e2..1e3).
 
 The reflected Euler scheme carries an O(sqrt(dt)) boundary-layer bias (the
 stationary law sits shifted by ~0.58*sqrt(2*B0*dt) near the wall), which is
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +123,11 @@ class Ensemble:
     def __post_init__(self) -> None:
         if self.samples.size != self.config.n_paths:
             raise ValueError("samples length must equal n_paths")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError(
+                "samples must be finite: the update squares each income, which overflows "
+                "float32 above about 1.8e19 (run in float64) and float64 above about 1.3e154"
+            )
         if np.any(self.samples < self.config.m_init):
             raise ValueError("all samples must be >= m_init")
 
@@ -152,17 +160,30 @@ def _folded_constants(config: SimConfig, dtype) -> tuple:
             dtype(2.0 * dt * c.B0), dtype(2.0 * dt * c.b))
 
 
-def _euler(m: np.ndarray, xi: np.ndarray, constants: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One reflected Euler-Maruyama update; returns the new incomes and the reflected mask."""
+def _euler(m: np.ndarray, xi: np.ndarray, constants: tuple, scale: np.ndarray,
+           hi: np.ndarray, refl: np.ndarray) -> None:
+    """One reflected Euler-Maruyama update of m in place.
+
+    m' = (m*mul + add) + sqrt(var2*(m*m) + var0)*xi, with (mul, add) of m's
+    regime, folded back to 2 m_init - m' below m_init.  xi and scale are
+    scratch; hi and refl receive the regime and reflection masks.
+    """
     m1, m_init, two_m_init, lo_mul, lo_add, hi_mul, hi_add, var0, var2 = constants
-    hi = m >= m1
-    proposed = (
-        m * np.where(hi, hi_mul, lo_mul)
-        + np.where(hi, hi_add, lo_add)
-        + np.sqrt(var0 + var2 * (m * m)) * xi
-    )
-    refl = proposed < m_init
-    return np.where(refl, two_m_init - proposed, proposed), refl
+    np.greater_equal(m, m1, out=hi)
+    np.multiply(m, m, out=scale)
+    scale *= var2
+    scale += var0
+    np.sqrt(scale, out=scale)
+    xi *= scale
+    np.copyto(scale, lo_mul)
+    np.copyto(scale, hi_mul, where=hi)
+    m *= scale
+    np.copyto(scale, lo_add)
+    np.copyto(scale, hi_add, where=hi)
+    m += scale
+    m += xi
+    np.less(m, m_init, out=refl)
+    np.subtract(two_m_init, m, out=m, where=refl)
 
 
 def step(m, config: SimConfig, noise):
@@ -173,9 +194,11 @@ def step(m, config: SimConfig, noise):
     run_ensemble, so iterating it on a block's noise stream reproduces that
     block bit for bit.
     """
-    arr = np.asarray(m, dtype=float)
-    out, _ = _euler(arr, np.asarray(noise, dtype=float), _folded_constants(config, np.float64))
-    return float(out) if arr.ndim == 0 else out
+    out, xi = (a.copy() for a in np.broadcast_arrays(np.asarray(m, dtype=float),
+                                                     np.asarray(noise, dtype=float)))
+    _euler(out, xi, _folded_constants(config, np.float64), np.empty_like(out),
+           np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool))
+    return float(out) if out.ndim == 0 else out
 
 
 def _default_initial(config: SimConfig) -> float:
@@ -186,27 +209,51 @@ def _default_initial(config: SimConfig) -> float:
     return config.m_init
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_block(config: SimConfig, m0_block: np.ndarray, seed_seq: np.random.SeedSequence,
-               dtype) -> tuple[np.ndarray, int]:
+               dtype, out: np.ndarray) -> int:
+    """Advance one block through all n_steps into out; returns its reflection count.
+
+    Runs on a pool thread, so it calls only numpy and private helpers:
+    perfbench's tracer wraps the public names with a span stack that is not
+    thread-safe.
+    """
     constants = _folded_constants(config, dtype)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     m = m0_block.astype(dtype, copy=True)
+    xi, scale = np.empty_like(m), np.empty_like(m)
+    hi, refl = np.empty(m.size, dtype=bool), np.empty(m.size, dtype=bool)
     n_refl = 0
     for _ in range(config.n_steps):
-        m, refl = _euler(m, rng.standard_normal(m.size, dtype=dtype), constants)
+        rng.standard_normal(dtype=dtype, out=xi)
+        _euler(m, xi, constants, scale, hi, refl)
         n_refl += int(np.count_nonzero(refl))
-    return m.astype(np.float64), n_refl
+    out[...] = m
+    return n_refl
 
 
 def run_ensemble(config: SimConfig, initial=None, *, dtype="float64") -> Ensemble:
     """Integrate n_paths trajectories and return their final incomes.
 
     initial: None (all paths at the low-regime temperature B0/A0), a scalar,
-    or an array of n_paths starting incomes (e.g. equilibrium samples for a
-    stationarity check).  Each 16384-path block consumes its own child of
-    SeedSequence(config.seed); results do not depend on scheduling.
-    dtype: "float64" or "float32"; float32 halves the noise-generation cost.
+    or an array of n_paths finite starting incomes >= m_init (e.g.
+    equilibrium samples for a stationarity check).  Each 16384-path block
+    consumes its own child of SeedSequence(config.seed), and the blocks run
+    on a thread pool of min(n_blocks, available CPUs) workers; results do
+    not depend on the thread count or the schedule.
+    dtype: "float64" or "float32"; float32 halves the noise-generation cost,
+    but its squared incomes overflow above about 1.8e19 (ValueError).
     """
+    # imported here: at module level it would add ~14 ms to every import
+    from concurrent.futures import ThreadPoolExecutor
+
     scalar_type = np.dtype(dtype).type
     if scalar_type not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype}")
@@ -218,18 +265,19 @@ def run_ensemble(config: SimConfig, initial=None, *, dtype="float64") -> Ensembl
             init = np.full(config.n_paths, float(init))
         elif init.shape != (config.n_paths,):
             raise ValueError("initial must be a scalar or an array of n_paths values")
-        if np.any(init < config.m_init):
-            raise ValueError("initial incomes must be >= m_init")
+        if not np.all(np.isfinite(init) & (init >= config.m_init)):
+            raise ValueError("initial incomes must be finite and >= m_init")
 
     n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
     children = np.random.SeedSequence(config.seed).spawn(n_blocks)
     samples = np.empty(config.n_paths)
-    total_refl = 0
-    for i in range(n_blocks):
+
+    def block(i: int) -> int:
         lo, hi = i * _BLOCK, min((i + 1) * _BLOCK, config.n_paths)
-        block, n_refl = _run_block(config, init[lo:hi], children[i], scalar_type)
-        samples[lo:hi] = block
-        total_refl += n_refl
+        return _run_block(config, init[lo:hi], children[i], scalar_type, samples[lo:hi])
+
+    with ThreadPoolExecutor(max_workers=min(n_blocks, _cpu_count())) as pool:
+        total_refl = sum(pool.map(block, range(n_blocks)))
     # float32 rounding can nudge a reflected value a hair under the wall
     np.maximum(samples, config.m_init, out=samples)
     return Ensemble(samples=samples, config=config, n_reflections=total_refl)

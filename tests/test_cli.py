@@ -241,6 +241,25 @@ def test_simulate_unstable_dt_exit2(tmp_path, params08, capsys):
     assert "stability bound" in capsys.readouterr().err
 
 
+def test_simulate_zero_dt_exit2(tmp_path, params08, capsys):
+    # an explicit 0 is a bad step, not a request for the default one
+    pfile = _params_json(tmp_path, params08)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", str(pfile), "--dt", "0", "--n-steps", "5", "--n-paths", "10",
+                 "--output", str(out)]) == 2
+    assert "dt must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_nan_initial_exit2_no_output(tmp_path, params08, capsys):
+    pfile = _params_json(tmp_path, params08)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", str(pfile), "--initial", "nan", "--n-steps", "5",
+                 "--n-paths", "10", "--output", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_coefficient_input(tmp_path, capsys):
     cfile = tmp_path / "coeffs.json"
     _write(cfile, json.dumps({"A0": 496202.5316455696, "a": 1.902,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from incomedist import (
     stability_bound,
     step,
 )
+from incomedist import simulate
 
 COEFFS_08 = LangevinCoeffs(A0=496202.5316455696, a=1.902,
                            A0_hi=496202.5316455696, a_hi=-0.21,
@@ -129,6 +131,9 @@ def test_run_ensemble_initial_validation():
         run_ensemble(cfg, initial=np.array([1.0, 2.0, 3.0]))  # wrong length
     with pytest.raises(ValueError):
         run_ensemble(cfg, initial=0.001)  # below the floor
+    for bad in (math.nan, math.inf, np.array([1.0, math.nan, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            run_ensemble(cfg, initial=bad)
     with pytest.raises(ValueError):
         run_ensemble(cfg, dtype="float16")
 
@@ -143,6 +148,61 @@ def test_run_ensemble_block_splitting_invariant():
     more = run_ensemble(cfg_more).samples
     assert np.array_equal(one, more[:block])
     assert not np.array_equal(more[block:], one[:2500])  # fresh child stream
+
+
+def _three_block_config():
+    # two full 16384-path blocks and a partial one, started near the wall so
+    # that paths reflect
+    cfg = _config(n_paths=2 * 16384 + 100, n_steps=6, seed=5)
+    return cfg, np.geomspace(0.02, 2e6, cfg.n_paths)
+
+
+def test_run_ensemble_blocks_match_step_on_own_streams():
+    # every block, whichever thread runs it, is step iterated on its own
+    # child of SeedSequence(seed), bit for bit
+    cfg, initial = _three_block_config()
+    ens = run_ensemble(cfg, initial=initial)
+    assert ens.n_reflections > 0
+    expect = np.empty(cfg.n_paths)
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
+        lo, hi = i * 16384, min((i + 1) * 16384, cfg.n_paths)
+        rng = np.random.Generator(np.random.PCG64(child))
+        m = initial[lo:hi]
+        for _ in range(cfg.n_steps):
+            m = step(m, cfg, rng.standard_normal(hi - lo))
+        expect[lo:hi] = m
+    assert np.array_equal(ens.samples, expect)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_run_ensemble_thread_count_invariant(monkeypatch, dtype):
+    # one worker, two, and one per block (more workers than a 2-core host has cores)
+    cfg, initial = _three_block_config()
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
+        runs.append(run_ensemble(cfg, initial=initial, dtype=dtype))
+    assert runs[0].n_reflections > 0
+    for other in runs[1:]:
+        assert other.n_reflections == runs[0].n_reflections
+        assert np.array_equal(other.samples, runs[0].samples)
+
+
+def test_run_ensemble_shuts_its_pool_down():
+    cfg, initial = _three_block_config()
+    before = threading.active_count()
+    run_ensemble(cfg, initial=initial)
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_float32_overflow_raises():
+    # m*m leaves the float32 range above about 1.8e19; float64 copes
+    cfg = _config(n_paths=4, n_steps=3)
+    with pytest.raises(ValueError, match="float32"):
+        run_ensemble(cfg, initial=1e20, dtype="float32")
+    assert np.all(np.isfinite(run_ensemble(cfg, initial=1e20).samples))
 
 
 def test_samples_respect_floor_float32():
