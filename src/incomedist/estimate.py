@@ -32,7 +32,9 @@ m0_hat.  Refining T alone with m0 pinned at the low segment break lets T
 absorb the crossover error (on the 2008 wave, T +26% and m0 -39%); refined
 together, both land within a few percent.  The search runs in logarithms of
 T and m0 relative to their segment values, so it is scale covariant.  alpha,
-alpha1 and m1 keep their segment values.
+alpha1 and m1 keep their segment values.  The refinement's table grid is
+fixed, so the misfit is a quadratic form in the 800 node log CCDFs, built
+once per fit: an evaluation costs one table and O(grid), not O(points).
 
 Everything is OLS on log plotting positions, not maximum likelihood.  The
 residuals of such a fit are partial sums of independent order-statistic
@@ -47,17 +49,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import optimize
 
 from incomedist.empirics import EmpiricalCCDF, _incomes_array
 from incomedist.model import (
     ModelParams,
     ParetoFit,
     TailDivergenceError,
-    _ccdf_interpolator,
+    _log_ccdf_misfit,
     normalize,
 )
 
@@ -138,17 +139,8 @@ class FitReport:
             raise ValueError("refined_T must lie in [T_bg, 1.5 T_bg]")
 
     def to_json(self) -> str:
-        obj = {
-            "params": json.loads(self.params.to_json()),
-            "T_bg": self.T_bg,
-            "alpha_fit": self.alpha_fit, "alpha_se": self.alpha_se,
-            "alpha1_fit": self.alpha1_fit, "alpha1_se": self.alpha1_se,
-            "m0_hat": self.m0_hat, "m0_rel_unc": self.m0_rel_unc,
-            "m1_hat": self.m1_hat, "m1_rel_unc": self.m1_rel_unc,
-            "ssr_per_segment": list(self.ssr_per_segment),
-            "refined_T": self.refined_T,
-            "degenerate_tail": self.degenerate_tail,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["params"] = json.loads(self.params.to_json())  # shape parameters only
         return json.dumps(obj, sort_keys=True)
 
     def summary(self) -> str:
@@ -347,16 +339,16 @@ def detect_crossovers(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT) -> tu
 def _window(ccdf: EmpiricalCCDF, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     x, p = _ascending(ccdf)
     mask = (x >= lo) & (x < hi)
+    if np.count_nonzero(mask) < MIN_SEGMENT:
+        raise EstimationError(
+            f"need >= {MIN_SEGMENT} points in [{lo}, {hi}), got {np.count_nonzero(mask)}"
+        )
     return x[mask], p[mask]
 
 
 def fit_temperature(ccdf: EmpiricalCCDF, m_init: float, m0: float) -> float:
     """Income temperature from the exponential segment: OLS ln p on (m - m_init)."""
     x, p = _window(ccdf, m_init, m0)
-    if x.size < MIN_SEGMENT:
-        raise EstimationError(
-            f"need >= {MIN_SEGMENT} points in [{m_init}, {m0}), got {x.size}"
-        )
     slope, _, _ = _PrefixOLS(x - m_init, np.log(p)).line(0, x.size)
     if slope >= 0.0:
         raise EstimationError("exponential window has non-decaying CCDF")
@@ -373,10 +365,6 @@ def fit_pareto_exponent(ccdf: EmpiricalCCDF, lo: float, hi: float = math.inf) ->
     power law.
     """
     x, p = _window(ccdf, lo, hi)
-    if x.size < MIN_SEGMENT:
-        raise EstimationError(
-            f"need >= {MIN_SEGMENT} points in [{lo}, {hi}), got {x.size}"
-        )
     ols = _PrefixOLS(np.log(x), np.log(p))
     slope, intercept, ssr = ols.line(0, x.size)
     if slope >= 0.0:
@@ -420,16 +408,19 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     """Global joint refinement of T on [T, 1.5 T] and of the crossover m0.
 
     Minimizes the summed squared log-CCDF residual of the fully normalized
-    model over every data point by Nelder-Mead in (ln T/T_start, ln m0/m0_start),
+    model over every data point, as a tridiagonal quadratic form in the log
+    CCDF on one 800-node ccdf_table grid (`model._log_ccdf_misfit`, built once
+    per call), by Nelder-Mead in (ln T/T_start, ln m0/m0_start),
     which keeps the search covariant under income rescaling; m0 starts at
     the input value and stays inside the model's (m_init, m1].  T1 moves
     with T whenever the input had T1 = T (the imposed equal-temperature
     convention).  Returns the input params unchanged when no improvement is
     found.
     """
+    from scipy import optimize  # imported on first use: most commands never fit
+
     tied = params.T1 == params.T
-    model_log_ccdf = _ccdf_interpolator(ccdf.incomes, params.m_init)
-    log_p = np.log(ccdf.p)
+    misfit = _log_ccdf_misfit(ccdf.incomes, np.log(ccdf.p), params.m_init, params.m1, 800)
 
     def at(u) -> ModelParams:
         T = params.T * math.exp(u[0])
@@ -441,8 +432,7 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     def objective(u) -> float:
         if not params.m_init < params.m0 * math.exp(u[1]) <= params.m1:
             return math.inf
-        resid = model_log_ccdf(at(u), 800) - log_p
-        return float(resid @ resid)
+        return misfit(at(u))
 
     base = objective((0.0, 0.0))
     res = optimize.minimize(

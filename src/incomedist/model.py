@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "TailDivergenceError",
@@ -116,34 +115,22 @@ class LangevinCoeffs:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.A0 >= 0.0 and math.isfinite(self.A0)):
-            raise ValueError(f"A0 must be >= 0, got {self.A0}")
-        if not (self.A0_hi >= 0.0 and math.isfinite(self.A0_hi)):
-            raise ValueError(f"A0_hi must be >= 0, got {self.A0_hi}")
-        if not (self.a >= 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"a must be >= 0, got {self.a}")
-        if not (self.B0 > 0.0 and math.isfinite(self.B0)):
-            raise ValueError(f"B0 must be > 0, got {self.B0}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise ValueError(f"b must be > 0, got {self.b}")
+        for name in ("A0", "A0_hi", "a", "B0", "b"):
+            v, strict = getattr(self, name), name in ("B0", "b")
+            if not ((v > 0.0 if strict else v >= 0.0) and math.isfinite(v)):
+                raise ValueError(f"{name} must be {'>' if strict else '>='} 0, got {v}")
         if not (self.a_hi > -self.b and math.isfinite(self.a_hi)):
             raise ValueError(
                 f"a_hi must exceed -b for an integrable tail, got a_hi={self.a_hi}, b={self.b}"
             )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"A0": self.A0, "a": self.a, "A0_hi": self.A0_hi,
-             "a_hi": self.a_hi, "B0": self.B0, "b": self.b},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LangevinCoeffs":
         obj = json.loads(text)
-        return cls(A0=float(obj["A0"]), a=float(obj["a"]),
-                   A0_hi=float(obj["A0_hi"]), a_hi=float(obj["a_hi"]),
-                   B0=float(obj["B0"]), b=float(obj["b"]))
+        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
 
 
 _PARAM_KEYS = ("T", "T1", "alpha", "alpha1", "m0", "m1", "m_init")
@@ -398,12 +385,16 @@ def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
     _require_normalized(params)
     if not m_hi > params.m_init:
         raise ValueError("m_hi must exceed m_init")
-    ms = np.geomspace(params.m_init, m_hi, n_grid)
-    ms[0] = params.m_init
-    if params.m_init < params.m1 < m_hi:
-        ms = np.unique(np.append(ms, params.m1))
+    ms = _table_grid(params.m_init, params.m1, m_hi, n_grid)
     tail, _ = _ccdf_nodes(params, ms, params.c_lo, params.c_hi)
     return ms, tail
+
+
+def _table_grid(m_init: float, m1: float, m_hi: float, n_grid: int) -> np.ndarray:
+    """The ccdf_table nodes: n_grid log-spaced from m_init to m_hi, plus m1 where it lies inside."""
+    ms = np.geomspace(m_init, m_hi, n_grid)
+    ms[0] = m_init
+    return np.unique(np.append(ms, m1)) if m_init < m1 < m_hi else ms
 
 
 def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
@@ -412,32 +403,48 @@ def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
     Suitable for bulk evaluation (goodness-of-fit objectives, KS statistics);
     interpolation error on the default grid is far below 1e-4 relative.
     """
-    if np.size(ms) == 0:
+    arr = np.asarray(ms, dtype=float)
+    if arr.size == 0:
         return np.empty(0)
-    return np.exp(_ccdf_interpolator(ms, params.m_init)(params, n_grid))
+    if np.any(arr < params.m_init):
+        raise ValueError("all incomes must be >= m_init")
+    grid_m, grid_pi = ccdf_table(params, float(arr.max()) * (1.0 + 1e-12), n_grid)
+    with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
+        return np.exp(np.interp(np.log(arr), np.log(grid_m), np.log(grid_pi)))
 
 
-def _ccdf_interpolator(ms, m_init: float):
-    """The data-side work of ccdf_eval_many on the non-empty incomes ms, done once.
+def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
+    """params -> sum over the incomes ms of (log-log interpolated log CCDF - log_p)^2.
 
-    Returns a function of (params, n_grid), for parameter sets with this
-    m_init, that gives the log CCDF at ms, interpolated linearly in log-log
-    coordinates on a ccdf_table grid (-inf where the tail underflows);
-    ccdf_eval_many returns its exp, and a fit compares it with the log of
-    the empirical CCDF on every objective evaluation.
+    For parameter sets with this m_init and m1 the ccdf_table grid is fixed,
+    so the interpolated logs are A v, with v the log CCDF at the nodes and A
+    fixed, two entries per row, and the sum is v.G.v - 2 h.v + c, G = A'A
+    tridiagonal and h = A' log_p, built here once: a call is one table pass
+    and O(grid) arithmetic.  Its rounding floor is ~1e-16 sum(log_p^2); a tail
+    that underflows on the grid gives inf.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
         raise ValueError("all incomes must be >= m_init")
-    log_ms, m_max = np.log(arr), float(arr.max())
+    m_hi = float(arr.max()) * (1.0 + 1e-12)  # as in ccdf_eval_many
+    x, grid = np.log(arr), np.log(_table_grid(m_init, m1, m_hi, n_grid))
+    n = grid.size
+    j = np.minimum(np.searchsorted(grid, x, side="right") - 1, n - 2)
+    t = (x - grid[j]) / (grid[j + 1] - grid[j])  # the weight on node j + 1
+    s = 1.0 - t
+    diag = np.bincount(j, s * s, n) + np.bincount(j + 1, t * t, n)
+    off = np.bincount(j, s * t, n - 1)
+    h = np.bincount(j, s * log_p, n) + np.bincount(j + 1, t * log_p, n)
+    c = float(log_p @ log_p)
 
-    def log_ccdf(params: ModelParams, n_grid: int) -> np.ndarray:
-        grid_m, grid_pi = ccdf_table(params, m_max * (1.0 + 1e-12), n_grid)
-        with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
-            log_pi = np.log(grid_pi)
-        return np.interp(log_ms, np.log(grid_m), log_pi)
+    def misfit(params: ModelParams) -> float:
+        with np.errstate(divide="ignore"):
+            v = np.log(ccdf_table(params, m_hi, n_grid)[1])
+        if not np.all(np.isfinite(v)):
+            return math.inf
+        return float(v @ (diag * v - 2.0 * h) + 2.0 * (off @ (v[:-1] * v[1:])) + c)
 
-    return log_ccdf
+    return misfit
 
 
 def _edge(params: ModelParams, p: float, m: float) -> float:
@@ -467,6 +474,8 @@ def quantile(params: ModelParams, q: float) -> float:
     def excess(m: float) -> float:
         # the CCDF is 1 at m_init by normalization; quadrature could round it below
         return (ccdf_eval(params, m) if m > params.m_init else 1.0) - target
+
+    from scipy import optimize  # imported on first use: most commands never solve
 
     return optimize.brentq(excess, lo, hi, rtol=_QUANTILE_RTOL)
 

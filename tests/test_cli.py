@@ -6,10 +6,14 @@ factor/ks report lines that scripts are expected to scrape.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import incomedist
 from conftest import noiseless_ccdf
 from incomedist import (
     EmpiricalCCDF,
@@ -425,3 +429,22 @@ def test_eval_and_fuse_bytes_match_per_row_output(tmp_path, params08):
     fused = fuse(load_incomes(survey), forbes_incomes(load_wealth_pairs(wealth)))
     expect = "income\n" + "".join(f"{m!r}\n" for m in fused.tolist())
     assert out.read_bytes() == expect.encode("utf-8")
+
+
+def test_import_and_eval_leave_the_optimizer_unloaded(tmp_path, params08):
+    # scipy.optimize is imported on first use: only quantiles and fits pay for it
+    pfile = _params_json(tmp_path, params08)
+    code = (
+        "import sys, incomedist\n"
+        "from incomedist import cli\n"
+        "incomedist.preset_params('2008')\n"
+        "assert 'scipy.optimize' not in sys.modules, 'import'\n"
+        f"assert cli.main(['eval', {str(pfile)!r}, '--output', {str(tmp_path / 'e.csv')!r}, '--quiet']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'eval'\n"
+        "incomedist.quantile(incomedist.preset_params('2008'), 0.5)\n"
+        "assert 'scipy.optimize' in sys.modules, 'quantile'\n"
+    )
+    src = os.path.dirname(os.path.dirname(incomedist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -23,7 +23,7 @@ from incomedist import (
 from incomedist import estimate
 from incomedist.estimate import MIN_SEGMENT, _PrefixOLS, _candidate_indices, _search_segments
 
-from conftest import noiseless_ccdf
+from conftest import direct_misfit, noiseless_ccdf
 
 
 def _exact_exponential(n=2000, T=4.0e4, m_init=0.01):
@@ -203,6 +203,18 @@ def test_refine_keeps_exact_data_fixed(params08, ccdf08_noiseless):
     assert refined.T == pytest.approx(params08.T, rel=1e-3)
     assert refined.T >= params08.T
     assert refined.m0 == pytest.approx(params08.m0, rel=1e-3)
+
+
+def test_refine_matches_the_direct_sum_objective(monkeypatch, params08):
+    # criterion 6's draw: the quadratic-form misfit steers Nelder-Mead to the
+    # refined (T, m0) the interpolate-every-point sum gives
+    ccdf = rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
+    fast = fit_full(ccdf, params08.m_init)
+    monkeypatch.setattr(estimate, "_log_ccdf_misfit", direct_misfit)
+    ref = fit_full(ccdf, params08.m_init)
+    assert ref.params.m0 != ref.m0_hat  # the refinement moved
+    assert fast.params.T == pytest.approx(ref.params.T, rel=1e-9, abs=0.0)
+    assert fast.params.m0 == pytest.approx(ref.params.m0, rel=1e-9, abs=0.0)
 
 
 def test_fit_full_report_structure(params08):

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +23,14 @@ from incomedist import (
     normalize,
     pareto_ccdf,
     pdf_eval,
+    preset_params,
     quantile,
+    rank_ccdf,
     sample_incomes,
 )
-from incomedist.model import _ccdf_nodes
+from incomedist.model import _ccdf_nodes, _log_ccdf_misfit
+
+from conftest import direct_misfit, noiseless_ccdf
 
 # Frozen two-branch constants for the bundled parameter sets, computed once
 # against a 50-digit arbitrary-precision quadrature of the same integrals.
@@ -127,7 +132,6 @@ def test_quantile_round_trip(params08):
 
 
 def _with_alpha1(params, alpha1):
-    from dataclasses import replace
     return normalize(replace(params, alpha1=alpha1, c_lo=None, c_hi=None))
 
 
@@ -431,3 +435,66 @@ def test_single_exponent_law_matches_closed_form(k):
     for m in (params.m_init + 0.5 * m0 / k, params.m_init + 10.0 * m0 / k, 3.0 * m0, 1e15 * m0):
         if exact(m) > 1e-300:
             assert ccdf_eval(params, m) == pytest.approx(exact(m), rel=rel, abs=0.0)
+
+
+# ------------------------------------------------ refinement misfit
+
+
+def _misfit_pair(params, ms, log_p, n_grid=800):
+    """The quadratic-form misfit and the direct O(n) sum, built for the same data."""
+    args = (ms, log_p, params.m_init, params.m1, n_grid)
+    return _log_ccdf_misfit(*args), direct_misfit(*args)
+
+
+def _in_box(params, t, f):
+    """params with T (and a tied T1) scaled by t and m0 by f, or m0 = m1 for f None."""
+    T = params.T * t
+    return normalize(replace(params, T=T, T1=T if params.T1 == params.T else params.T1,
+                             m0=params.m1 if f is None else params.m0 * f,
+                             c_lo=None, c_hi=None))
+
+
+@pytest.fixture(scope="module")
+def ccdf08_draw(params08):
+    return rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_log_ccdf_misfit_matches_direct_sum_at_truth(year):
+    params = preset_params(year)
+    data = noiseless_ccdf(params, 20000)
+    fast, ref = _misfit_pair(params, data.incomes, np.log(data.p))
+    assert ref(params) < 1e-3  # exact data: the rounding floor is what is tested
+    assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)
+
+
+@pytest.mark.parametrize("t, f", [(1.0, 0.5), (1.2, 0.8), (1.5, 1.0), (1.5, None), (1.1, 0.6)])
+@pytest.mark.parametrize("data", ["ccdf08_noiseless", "ccdf08_draw"])
+def test_log_ccdf_misfit_matches_direct_sum_across_the_box(request, params08, data, t, f):
+    ccdf = request.getfixturevalue(data)
+    fast, ref = _misfit_pair(params08, ccdf.incomes, np.log(ccdf.p))
+    for params in (params08, _in_box(params08, t, f)):
+        assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)
+
+
+def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
+    # m_init is the grid's first node and m1 an inserted one: weight 1 on one node
+    rng = np.random.default_rng(7)
+    ms = np.concatenate(([params08.m_init, params08.m1], sample_incomes(params08, 2000, seed=7)))
+    log_p = np.log(ccdf_eval_many(params08, ms, 800)) + 0.05 * rng.standard_normal(ms.size)
+    fast, ref = _misfit_pair(params08, ms, log_p)
+    for params in (params08, _in_box(params08, 1.3, 0.7)):
+        assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)
+    assert fast(params08) > 1.0  # the noise is seen, not only the rounding floor
+
+
+def test_log_ccdf_misfit_is_inf_where_the_tail_underflows(params08):
+    light = _with_alpha1(params08, 3.0)  # (1e250 / m1)^-3 is far below the float range
+    ms = np.array([params08.m_init, params08.m0, 1e250])
+    fast, _ = _misfit_pair(light, ms, np.log([1.0, 0.5, 1e-300]))
+    _, grid_pi = ccdf_table(light, 1e250 * (1.0 + 1e-12), 800)
+    assert grid_pi[-1] == 0.0
+    assert fast(light) == math.inf
+    assert fast(params08) < math.inf  # the same grid with a heavier tail stays finite
+    with pytest.raises(ValueError, match="m_init"):
+        _log_ccdf_misfit(ms * 0.0 + 0.5 * params08.m_init, np.zeros(3), params08.m_init, params08.m1, 800)
