@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from incomedist.empirics import _incomes_array
-from incomedist.model import ModelParams, ccdf_eval, quantile
+from incomedist.model import ModelParams, _ccdf_nodes, _require_normalized, quantile
 
 __all__ = [
     "DegenerateClassError",
@@ -40,12 +40,13 @@ def class_fractions(params: ModelParams) -> tuple[float, float, float]:
     """Percentages of households in the low/medium/high income classes.
 
     f_low = 100*(Pi(m_init) - Pi(m0)), f_med = 100*(Pi(m0) - Pi(m1)),
-    f_high = 100*Pi(m1), all from the analytic CCDF, so the three telescope
-    to 100*Pi(m_init) = 100 up to quadrature tolerance.
+    f_high = 100*Pi(m1), all from the analytic CCDF in one quadrature pass
+    over the three incomes, so the three telescope to 100*Pi(m_init) = 100 up
+    to quadrature tolerance.
     """
-    pi_init = ccdf_eval(params, params.m_init)
-    pi_0 = ccdf_eval(params, params.m0)
-    pi_1 = ccdf_eval(params, params.m1)
+    _require_normalized(params)
+    tails, _ = _ccdf_nodes(params, [params.m_init, params.m0, params.m1], params.c_lo, params.c_hi)
+    pi_init, pi_0, pi_1 = tails.tolist()
     return (
         100.0 * (pi_init - pi_0),
         100.0 * (pi_0 - pi_1),

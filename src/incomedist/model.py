@@ -88,6 +88,13 @@ _WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776
 _GK_X = np.concatenate((np.negative(_XK[:-1]), _XK[::-1]))
 _GK_W = np.column_stack((_WK, np.subtract(_WK, _WG)))[[*range(10), *range(10, -1, -1)]]
 _QUANTILE_RTOL = 1e-8
+# A quantile's bracketing pass: incomes m_init + T * _QUANTILE_RUNGS, from
+# 1.5e-5 T to 2e8 T, a factor sqrt(2) apart: one pass over 88 rungs costs
+# about as much as over one income, and the closer the rungs, the fewer
+# Newton steps from the start interpolated between them.
+_QUANTILE_RUNGS = 2.0 ** np.arange(-16.0, 28.0, 0.5)
+# The sampler's table edge: decades up from 10 m1 in one pass.
+_EDGE_DECADES = 24
 # Incomes searched for quantiles and table edges stop here: a tail with
 # alpha1 of a few hundredths holds mass beyond the float range.
 _EDGE_CAP = 1e300
@@ -447,37 +454,78 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     return misfit
 
 
-def _edge(params: ModelParams, p: float, m: float) -> float:
-    """The first m * 10**k (k >= 0) where the CCDF is <= p, or the first past _EDGE_CAP."""
-    while ccdf_eval(params, m) > p and m < _EDGE_CAP:
-        m *= 10.0
-    return m
+def _bracket(params: ModelParams, p: float, rungs):
+    """(lo, Pi(lo), hi, Pi(hi)): hi the first of the ascending rungs whose CCDF is <= p.
+
+    One _ccdf_nodes pass over the rungs, cut after the first at or past
+    _EDGE_CAP.  Only when the top rung's CCDF is still above p does one more
+    pass run, over decades up from it (repeated products, as m *= 10 gives)
+    to the first at or past _EDGE_CAP; if that one is still above p, it is
+    hi.  lo is the rung below hi, or m_init, whose CCDF is 1.
+    """
+    lo, pi_lo = params.m_init, 1.0
+
+    def climb(rungs):
+        rungs = rungs[: np.searchsorted(rungs, _EDGE_CAP) + 1]
+        return rungs, _ccdf_nodes(params, rungs, params.c_lo, params.c_hi)[0]
+
+    rungs, tails = climb(np.asarray(rungs, dtype=float))
+    if tails[-1] > p and rungs[-1] < _EDGE_CAP:
+        lo, pi_lo = float(rungs[-1]), float(tails[-1])
+        n = math.ceil(math.log10(_EDGE_CAP / rungs[-1])) + 1
+        rungs, tails = climb(np.cumprod(np.append(rungs[-1], np.full(n, 10.0)))[1:])
+    i = min(int(np.count_nonzero(tails > p)), rungs.size - 1)
+    if i:
+        lo, pi_lo = float(rungs[i - 1]), float(tails[i - 1])
+    return lo, pi_lo, float(rungs[i]), float(tails[i])
+
+
+def _density(params: ModelParams, m: float) -> float:
+    """pdf_eval at one income m >= m_init, in logs, so that far-tail incomes do not overflow."""
+    upper = m >= params.m1
+    c, T, a = (params.c_hi, params.T1, params.alpha1) if upper else (params.c_lo, params.T, params.alpha)
+    x = m / params.m0
+    return c * math.exp(-(params.m0 / T) * math.atan(x) - (a + 1.0) * math.log(math.hypot(1.0, x)))
 
 
 def quantile(params: ModelParams, q: float) -> float:
-    """Income level m with P(income <= m) = q, by Brent's method on the CCDF.
+    """Income level m with P(income <= m) = q, by safeguarded Newton steps on the CCDF.
 
-    The root is bracketed by decades from m_init + max(T, T1, m0), then
-    found to relative tolerance 1e-8 in income.  A quantile beyond ~1e300
-    raises ValueError.
+    One CCDF pass over the incomes m_init + T 2**(j/2) brackets the root
+    (one more, by decades up to ~1e300, only for a tail beyond them), and
+    log-log interpolation between the two bracketing rungs gives the start.
+    Each step m += (CCDF(m) - (1 - q)) / P(m), with P the closed-form
+    density, costs one CCDF pass; a step that leaves the bracket, or an
+    underflowed P, bisects it instead.  The CCDF is convex, so every step
+    lands below the root and the steps close in from there.  The root is
+    found to relative tolerance 1e-8 in income, in about four passes in all.
+    A quantile beyond ~1e300 raises ValueError.
     """
     _require_normalized(params)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     target = 1.0 - q
-    start = params.m_init + max(params.T, params.T1, params.m0)
-    hi = _edge(params, target, start)
-    if hi >= _EDGE_CAP and ccdf_eval(params, hi) > target:
+    if target >= 1.0:  # the CCDF is 1 at m_init by normalization
+        return params.m_init
+    lo, pi_lo, hi, pi_hi = _bracket(params, target, params.m_init + params.T * _QUANTILE_RUNGS)
+    if pi_hi > target:
         raise ValueError(f"the {q} quantile lies beyond the float range (above {hi:.3g})")
-    lo = params.m_init if hi == start else hi / 10.0
-
-    def excess(m: float) -> float:
-        # the CCDF is 1 at m_init by normalization; quadrature could round it below
-        return (ccdf_eval(params, m) if m > params.m_init else 1.0) - target
-
-    from scipy import optimize  # imported on first use: most commands never solve
-
-    return optimize.brentq(excess, lo, hi, rtol=_QUANTILE_RTOL)
+    # the start: log-log interpolation between the bracketing rungs
+    s = (math.log(pi_lo) - math.log(target)) / (math.log(pi_lo) - math.log(pi_hi)) if pi_hi > 0.0 else 0.5
+    m = lo * (hi / lo) ** s
+    for _ in range(100):
+        excess = float(_ccdf_nodes(params, [m], params.c_lo, params.c_hi)[0][0]) - target
+        lo, hi = (m, hi) if excess > 0.0 else (lo, m)
+        dens = _density(params, m)
+        step = excess / dens if dens > 0.0 else math.inf
+        if lo <= m + step <= hi and abs(step) <= _QUANTILE_RTOL * m:
+            return m + step
+        m += step
+        if not lo < m < hi:
+            m = 0.5 * (lo + hi)
+            if hi - lo <= _QUANTILE_RTOL * hi:
+                return m
+    raise RuntimeError(f"the {q} quantile did not converge in 100 steps")
 
 
 def sample_incomes(params: ModelParams, n: int, seed=None, rng=None) -> np.ndarray:
@@ -494,7 +542,8 @@ def sample_incomes(params: ModelParams, n: int, seed=None, rng=None) -> np.ndarr
     if rng is None:
         rng = np.random.default_rng(seed)
     p_floor = max(1e-12, 1e-3 / n)
-    grid_m, grid_pi = ccdf_table(params, _edge(params, p_floor, 10.0 * params.m1), n_grid=4000)
+    decades = np.cumprod(np.append(10.0 * params.m1, np.full(_EDGE_DECADES - 1, 10.0)))
+    grid_m, grid_pi = ccdf_table(params, _bracket(params, p_floor, decades)[2], n_grid=4000)
     log_pi = np.log(grid_pi[::-1])
     log_m = np.log(grid_m[::-1])
     targets = 1.0 - rng.random(n)

@@ -432,17 +432,20 @@ def test_eval_and_fuse_bytes_match_per_row_output(tmp_path, params08):
 
 
 def test_import_and_eval_leave_the_optimizer_unloaded(tmp_path, params08):
-    # scipy.optimize is imported on first use: only quantiles and fits pay for it
+    # scipy.optimize is imported on first use: only fits pay for it
     pfile = _params_json(tmp_path, params08)
     code = (
         "import sys, incomedist\n"
         "from incomedist import cli\n"
-        "incomedist.preset_params('2008')\n"
+        "p = incomedist.preset_params('2008')\n"
         "assert 'scipy.optimize' not in sys.modules, 'import'\n"
         f"assert cli.main(['eval', {str(pfile)!r}, '--output', {str(tmp_path / 'e.csv')!r}, '--quiet']) == 0\n"
         "assert 'scipy.optimize' not in sys.modules, 'eval'\n"
-        "incomedist.quantile(incomedist.preset_params('2008'), 0.5)\n"
-        "assert 'scipy.optimize' in sys.modules, 'quantile'\n"
+        "incomedist.quantile(p, 0.5)\n"
+        "incomedist.compute_stats(p)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'quantile and stats'\n"
+        "incomedist.fit_full(incomedist.rank_ccdf(incomedist.sample_incomes(p, 20000, seed=1)), p.m_init)\n"
+        "assert 'scipy.optimize' in sys.modules, 'fit'\n"
     )
     src = os.path.dirname(os.path.dirname(incomedist.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -16,7 +16,9 @@ from incomedist import (
     median_income,
     normalize,
     population_ratios,
+    preset_params,
 )
+from incomedist import inequality
 
 # Frozen fractions derived from the frozen CCDF anchor values.
 FROZEN = {
@@ -32,6 +34,21 @@ def test_class_fractions_frozen(year, fixture, request):
     for got, want in zip(f, FROZEN[year]):
         assert got == pytest.approx(want, rel=1e-8)
     assert sum(f) == pytest.approx(100.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_class_fractions_take_one_pass(year, monkeypatch):
+    params = preset_params(year)
+    calls, nodes = [], inequality._ccdf_nodes
+    monkeypatch.setattr(inequality, "_ccdf_nodes", lambda *args: calls.append(args[1]) or nodes(*args))
+    f_low, f_med, f_high = class_fractions(params)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    pi_init, pi_0, pi_1 = (ccdf_eval(params, m) for m in (params.m_init, params.m0, params.m1))
+    assert f_low + f_med + f_high == pytest.approx(100.0 * pi_init, rel=1e-14)
+    assert f_low == pytest.approx(100.0 * (pi_init - pi_0), rel=1e-14)
+    assert f_med == pytest.approx(100.0 * (pi_0 - pi_1), rel=1e-14)
+    assert f_high == pytest.approx(100.0 * pi_1, rel=1e-14)
 
 
 def test_ratio_identities_exact(params08):

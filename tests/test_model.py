@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy import integrate
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, optimize
 
 from incomedist import (
     LangevinCoeffs,
@@ -28,6 +28,7 @@ from incomedist import (
     rank_ccdf,
     sample_incomes,
 )
+from incomedist import model
 from incomedist.model import _ccdf_nodes, _log_ccdf_misfit
 
 from conftest import direct_misfit, noiseless_ccdf
@@ -174,6 +175,82 @@ def test_quantile_beyond_float_range_is_value_error(params08):
     params = _with_alpha1(params08, 0.01)
     with pytest.raises(ValueError, match="beyond the float range"):
         quantile(params, 1.0 - 1e-9)
+
+
+def _brent_quantile(params, q):
+    """Reference quantile: decades up from m_init + max(T, T1, m0), then Brent on the scalar CCDF."""
+    target = 1.0 - q
+    hi = params.m_init + max(params.T, params.T1, params.m0)
+    lo = params.m_init
+    while ccdf_eval(params, hi) > target:
+        lo, hi = hi, 10.0 * hi
+    return optimize.brentq(lambda m: ccdf_eval(params, m) - target, lo, hi, xtol=1e-300, rtol=1e-14)
+
+
+@st.composite
+def _query_sets(draw):
+    """The synthetic-waves parameter ranges, with tails down to alpha1 = 0.05."""
+    T = draw(st.floats(1e4, 1e5))
+    m0 = T * draw(st.floats(1.5, 6.0))
+    return normalize(ModelParams(
+        T=T, T1=T * draw(st.floats(0.7, 1.5)), alpha=draw(st.floats(1.2, 4.0)),
+        alpha1=draw(st.sampled_from([0.05, 0.1])) if draw(st.booleans()) else draw(st.floats(0.05, 2.0)),
+        m0=m0, m1=m0 * draw(st.floats(1.5, 20.0)), m_init=0.01))
+
+
+# q in (1e-6, 1 - 1e-9): uniform below 1/2, log-uniform in 1 - q above it
+_levels = st.one_of(st.floats(1e-6, 0.5), st.floats(-9.0, math.log10(0.5)).map(lambda u: 1.0 - 10.0**u))
+
+
+@settings(max_examples=30)
+@given(_query_sets(), _levels, _levels)
+@example(_with_alpha1(preset_params("2008"), 0.05), 0.5, 1.0 - 1e-9)
+def test_quantile_solves_the_ccdf_property(params, qa, qb):
+    qa, qb = sorted((qa, qb))
+    ma, mb = quantile(params, qa), quantile(params, qb)
+    assert ma <= mb
+    for q, m in ((qa, ma), (qb, mb)):
+        with np.errstate(over="ignore"):  # pdf_eval reads 0 beyond ~1e154 m0
+            slack = 1e-8 * m * pdf_eval(params, m) + 1e-8 * (1.0 - q)
+        assert abs(ccdf_eval(params, m) - (1.0 - q)) <= slack
+        assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99, 0.9999])  # the last lies above m1
+def test_quantile_takes_at_most_five_passes(year, q, monkeypatch):
+    params = preset_params(year)
+    calls = []
+    monkeypatch.setattr(model, "_ccdf_nodes", lambda *args: calls.append(args[1]) or _ccdf_nodes(*args))
+    m = quantile(params, q)
+    assert 1 <= len(calls) <= 5
+    assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
+
+
+def _reference_sample(params, n, seed):
+    """sample_incomes with its table edge found by the scalar decade loop."""
+    p_floor = max(1e-12, 1e-3 / n)
+    edge = 10.0 * params.m1
+    while ccdf_eval(params, edge) > p_floor and edge < 1e300:
+        edge *= 10.0
+    grid_m, grid_pi = ccdf_table(params, edge, n_grid=4000)
+    targets = np.clip(1.0 - np.random.default_rng(seed).random(n), grid_pi[-1], 1.0)
+    return np.exp(np.interp(np.log(targets), np.log(grid_pi[::-1]), np.log(grid_m[::-1])))
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+@pytest.mark.parametrize("seed", [6, 9301])
+def test_sampler_edge_matches_the_decade_loop(year, seed):
+    params = preset_params(year)
+    got = sample_incomes(params, 100_000, seed=seed)
+    assert np.array_equal(got, _reference_sample(params, 100_000, seed))
+
+
+@pytest.mark.parametrize("alpha1", [0.01, 0.05, 0.1])
+def test_heavy_tail_sampler_edge_matches_the_decade_loop(params08, alpha1):
+    # these edges lie past the first pass's 24 decades (at the 1e300 cap for 0.01)
+    params = _with_alpha1(params08, alpha1)
+    assert np.array_equal(sample_incomes(params, 20_000, seed=8), _reference_sample(params, 20_000, 8))
 
 
 @pytest.mark.parametrize("alpha1", [0.01, 0.05])
