@@ -292,7 +292,9 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
     ms = np.asarray(ms, dtype=float)
     nodes = np.sort(np.concatenate((ms, [params.m1]))) if ms[0] < params.m1 else ms
     upper = nodes >= params.m1
-    k = params.m0 / np.where(upper, params.T1, params.T)
+    # no k below 1e-300 moves a digit of exp(k (w - pi/2)), and an underflowed
+    # k = 0 would cut its intervals into no parts at all
+    k = np.maximum(params.m0 / np.where(upper, params.T1, params.T), 1e-300)
     alpha = np.where(upper, params.alpha1, params.alpha)
     w_hi = np.arctan2(params.m0, nodes)
     k1, a1 = params.m0 / params.T1, params.alpha1  # the last interval's branch
@@ -353,21 +355,13 @@ def pdf_eval(params: ModelParams, m):
 
     The lower branch applies for m < m1 and the upper branch for m >= m1; the
     analytic continuity ratio makes the two branch formulas agree at m1.
+    Each branch takes hypot(1, m/m0), so far-tail incomes do not overflow.
     """
     _require_normalized(params)
     arr = np.asarray(m, dtype=float)
     if np.any(arr < params.m_init):
         raise ValueError("m must be >= m_init")
-    x = arr / params.m0
-    u = np.arctan(x)
-    x2 = 1.0 + x * x
-    lower = params.c_lo * np.exp(-(params.m0 / params.T) * u) * x2 ** (
-        -(params.alpha + 1.0) / 2.0
-    )
-    upper = params.c_hi * np.exp(-(params.m0 / params.T1) * u) * x2 ** (
-        -(params.alpha1 + 1.0) / 2.0
-    )
-    out = np.where(arr < params.m1, lower, upper)
+    out = _density(params, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -480,12 +474,15 @@ def _bracket(params: ModelParams, p: float, rungs):
     return lo, pi_lo, float(rungs[i]), float(tails[i])
 
 
-def _density(params: ModelParams, m: float) -> float:
-    """pdf_eval at one income m >= m_init, in logs, so that far-tail incomes do not overflow."""
-    upper = m >= params.m1
-    c, T, a = (params.c_hi, params.T1, params.alpha1) if upper else (params.c_lo, params.T, params.alpha)
-    x = m / params.m0
-    return c * math.exp(-(params.m0 / T) * math.atan(x) - (a + 1.0) * math.log(math.hypot(1.0, x)))
+def _density(params: ModelParams, m):
+    """pdf_eval at incomes m >= m_init, unchecked; the quantile's Newton steps call it too."""
+    with np.errstate(over="ignore"):  # m/m0 beyond the float range: the density is 0 there
+        x = np.divide(m, params.m0)
+    # hypot(1, x) in place of sqrt(1 + x^2), which overflows beyond ~1e154 m0
+    u, h = np.arctan(x), np.hypot(1.0, x)
+    lower = params.c_lo * np.exp(-(params.m0 / params.T) * u) * h ** -(params.alpha + 1.0)
+    upper = params.c_hi * np.exp(-(params.m0 / params.T1) * u) * h ** -(params.alpha1 + 1.0)
+    return np.where(np.less(m, params.m1), lower, upper)
 
 
 def quantile(params: ModelParams, q: float) -> float:
@@ -516,13 +513,15 @@ def quantile(params: ModelParams, q: float) -> float:
     for _ in range(100):
         excess = float(_ccdf_nodes(params, [m], params.c_lo, params.c_hi)[0][0]) - target
         lo, hi = (m, hi) if excess > 0.0 else (lo, m)
-        dens = _density(params, m)
+        dens = float(_density(params, m))
         step = excess / dens if dens > 0.0 else math.inf
         if lo <= m + step <= hi and abs(step) <= _QUANTILE_RTOL * m:
             return m + step
         m += step
         if not lo < m < hi:
-            m = 0.5 * (lo + hi)
+            # in logs while the bracket is wide: a law whose mass lies
+            # decades below T has its roots decades under the first rung
+            m = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
             if hi - lo <= _QUANTILE_RTOL * hi:
                 return m
     raise RuntimeError(f"the {q} quantile did not converge in 100 steps")

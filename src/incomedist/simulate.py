@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from incomedist.empirics import _write_csv
+from incomedist.empirics import _cpu_count, _write_csv
 from incomedist.model import LangevinCoeffs, ModelParams, ccdf_eval_many
 
 __all__ = [
@@ -207,14 +206,6 @@ def _default_initial(config: SimConfig) -> float:
     if c.A0 > 0.0:
         return max(c.B0 / c.A0, config.m_init)
     return config.m_init
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _run_block(config: SimConfig, m0_block: np.ndarray, seed_seq: np.random.SeedSequence,

@@ -5,6 +5,8 @@ byte-level determinism of every file-producing subcommand, and the always-on
 factor/ks report lines that scripts are expected to scrape.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import incomedist
 from conftest import noiseless_ccdf
@@ -439,6 +442,7 @@ def test_import_and_eval_leave_the_optimizer_unloaded(tmp_path, params08):
         "from incomedist import cli\n"
         "p = incomedist.preset_params('2008')\n"
         "assert 'scipy.optimize' not in sys.modules, 'import'\n"
+        "assert 'subprocess' not in sys.modules, 'import loads subprocess'\n"
         f"assert cli.main(['eval', {str(pfile)!r}, '--output', {str(tmp_path / 'e.csv')!r}, '--quiet']) == 0\n"
         "assert 'scipy.optimize' not in sys.modules, 'eval'\n"
         "incomedist.quantile(p, 0.5)\n"
@@ -451,3 +455,41 @@ def test_import_and_eval_leave_the_optimizer_unloaded(tmp_path, params08):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------- property: documented exit codes
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+@st.composite
+def _accepted_params(draw):
+    """Parameter sets that ModelParams accepts, over scales from 1e-100 to 1e120."""
+    m_init = draw(_decades(-100.0, 100.0))
+    m0 = m_init * draw(_decades(1e-6, 10.0))
+    m1 = m0 * draw(_decades(0.0, 10.0))
+    alpha1 = draw(st.one_of(_decades(-6.0, 2.0), st.floats(-5.0, 0.0)))
+    return dict(T=m0 * draw(_decades(-100.0, 100.0)), T1=m0 * draw(_decades(-100.0, 100.0)),
+                alpha=draw(_decades(-6.0, 2.0)), alpha1=alpha1, m0=m0, m1=m1, m_init=m_init)
+
+
+@settings(max_examples=20)
+@given(_accepted_params())
+# m0/T1 underflows to 0 and the median lies 120 decades below the quantile's
+# lowest rung: this exited 1 ("did not converge") before bisection in logs
+@example(dict(T=3.2931301517640636e16, T1=1.0928183746869016e299, alpha=6.034187428662889e-236,
+              alpha1=2.902, m0=1.1232270684185235e-114, m1=6.154960548862512e-103,
+              m_init=1.8720451140308724e-115))
+def test_stats_and_eval_never_exit_1(tmp_path_factory, obj):
+    tmp = tmp_path_factory.getbasetemp()
+    pfile = tmp / "accepted.json"
+    _write(pfile, json.dumps(obj))
+    for argv in (["stats", "--params", str(pfile), "--output", str(tmp / "accepted-stats.json")],
+                 ["eval", str(pfile), "--output", str(tmp / "accepted-eval.csv")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--quiet"])
+        assert code in (0, 2), err.getvalue()
+        assert code == 0 or err.getvalue().startswith(f"error: {argv[0]}:")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -8,16 +11,20 @@ from hypothesis import assume, given, strategies as st
 from incomedist import (
     EmpiricalCCDF,
     EmptyFileWarning,
+    Ensemble,
     IncomeRecord,
     OverlapWarning,
     ParseError,
+    SimConfig,
     WealthPair,
+    effective_to_coeffs,
     empirics,
     find_scale_factor,
     forbes_incomes,
     fuse,
     load_incomes,
     load_wealth_pairs,
+    preset_params,
     rank_ccdf,
 )
 
@@ -320,15 +327,27 @@ def _per_row(header, *columns):
                                     for row in zip(*columns))).encode("utf-8")
 
 
+def _sharded(shard_rows=3, cpus=3):
+    """Patches under which every table of 2 * shard_rows rows or more goes to children."""
+    return mock.patch.multiple(empirics, _SHARD_ROWS=shard_rows, _cpu_count=lambda: cpus)
+
+
+def _assert_no_children():
+    # every child started by the writer has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=30))
 def test_write_csv_matches_per_row_output(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "written.csv"
     a = np.array([r[0] for r in rows], dtype=float)
     b = np.array([r[1] for r in rows], dtype=float)
-    empirics._write_csv(path, "income,ccdf", a, b)
-    assert path.read_bytes() == _per_row("income,ccdf", a, b)
-    empirics._write_csv(path, "income", a)
-    assert path.read_bytes() == _per_row("income", a)
+    with _sharded():
+        empirics._write_csv(path, "income,ccdf", a, b)
+        assert path.read_bytes() == _per_row("income,ccdf", a, b)
+        empirics._write_csv(path, "income", a)
+        assert path.read_bytes() == _per_row("income", a)
 
 
 @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -336,5 +355,95 @@ def test_write_csv_matches_per_row_output(tmp_path_factory, rows):
 def test_ccdf_to_csv_matches_per_row_output(tmp_path_factory, values):
     path = tmp_path_factory.getbasetemp() / "ccdf_written.csv"
     ccdf = rank_ccdf(values)
-    ccdf.to_csv(path)
+    with _sharded():
+        ccdf.to_csv(path)
     assert path.read_bytes() == _per_row("income,ccdf", ccdf.incomes, ccdf.p)
+
+
+# ------------------------------------------------------------- sharded writer
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+def test_sharded_write_matches_per_row_output_at_the_edges(tmp_path, rows):
+    # shards = min(3, rows // 3): one below 6 rows, two from 6, three from 9
+    a = np.random.default_rng(rows).lognormal(10.0, 1.0, rows)
+    b = np.arange(1, rows + 1) / (rows + 1.0)
+    path = tmp_path / "t.csv"
+    with _sharded(), mock.patch("subprocess.Popen", wraps=subprocess.Popen) as popen:
+        empirics._write_csv(path, "income,ccdf", a, b)
+    assert popen.call_count == (min(3, rows // 3) - 1 if rows >= 6 else 0)
+    assert path.read_bytes() == _per_row("income,ccdf", a, b)
+    _assert_no_children()
+
+
+def test_sharded_write_at_the_real_threshold(tmp_path):
+    # the smallest table that is sharded at the shipped shard size, on two CPUs
+    rows = 2 * empirics._SHARD_ROWS
+    ccdf = rank_ccdf(np.random.default_rng(5).pareto(2.0, rows) + 1.0)
+    path = tmp_path / "c.csv"
+    with mock.patch.object(empirics, "_cpu_count", lambda: 2), \
+            mock.patch("subprocess.Popen", wraps=subprocess.Popen) as popen:
+        ccdf.to_csv(path)
+    assert popen.call_count == 1
+    assert path.read_bytes() == _per_row("income,ccdf", ccdf.incomes, ccdf.p)
+    _assert_no_children()
+
+
+def test_sharded_write_of_float32_ensemble(tmp_path):
+    # float32 samples print as the float64 reprs of their exact values
+    params = preset_params("2008")
+    samples = np.geomspace(1e3, 1e9, 10).astype(np.float32)
+    config = SimConfig(coeffs=effective_to_coeffs(params), m1=params.m1, m_init=params.m_init,
+                       dt=1e-3, n_steps=1, n_paths=samples.size, seed=0)
+    path = tmp_path / "s.csv"
+    with _sharded():
+        Ensemble(samples=samples, config=config, n_reflections=0).to_csv(path)
+    assert path.read_bytes() == _per_row("income", samples)
+    _assert_no_children()
+
+
+def _child_script(tmp_path, body):
+    script = tmp_path / "child.py"
+    script.write_text(body, encoding="utf-8")
+    return mock.patch.object(empirics, "_ROWS_SCRIPT", str(script))
+
+
+@pytest.mark.parametrize("executable", ["", "/nonexistent/python"])
+def test_sharded_write_falls_back_when_no_child_starts(tmp_path, monkeypatch, executable):
+    monkeypatch.setattr(sys, "executable", executable)
+    a = np.geomspace(1.0, 1e6, 12)
+    path = tmp_path / "t.csv"
+    with _sharded():
+        empirics._write_csv(path, "income", a)
+    assert path.read_bytes() == _per_row("income", a)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("body", [
+    "raise SystemExit(3)\n",  # fails before reading its columns
+    "import sys\nsys.stdin.buffer.read()\nsys.stdout.write('1.0\\n')\nraise SystemExit(1)\n",
+    # exits 0 with too few rows
+    "import sys\nsys.stdin.buffer.read()\nsys.stdout.write('1.0\\n')\n",
+])
+def test_sharded_write_falls_back_when_a_child_fails(tmp_path, body):
+    # 160 kB of columns per child, more than a pipe holds: one that exits
+    # unread breaks the pipe
+    a = np.geomspace(1.0, 1e6, 30_000)
+    b = np.linspace(0.1, 0.9, 30_000)
+    path = tmp_path / "t.csv"
+    with _sharded(), _child_script(tmp_path, body):
+        empirics._write_csv(path, "income,ccdf", a, b)
+    assert path.read_bytes() == _per_row("income,ccdf", a, b)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_sharded_write_reaps_its_children_when_it_raises(tmp_path, error):
+    # the children are started and fed before this process formats its shard
+    a = np.geomspace(1.0, 1e6, 12)
+    with _sharded(), mock.patch.object(empirics._rows, "format_rows", side_effect=error), \
+            mock.patch("subprocess.Popen", wraps=subprocess.Popen) as popen:
+        with pytest.raises(error):
+            empirics._write_csv(tmp_path / "t.csv", "income", a)
+    assert popen.call_count == 2
+    _assert_no_children()

@@ -93,6 +93,31 @@ def test_density_continuous_at_threshold(params08):
     assert params08.c_hi == pytest.approx(params08.c_lo * continuity_ratio(params08), rel=1e-12)
 
 
+def test_pdf_far_tail_neither_overflows_nor_reads_zero(params08):
+    # 1 + (m/m0)^2 overflows beyond ~1e154 m0; the density is formed in logs
+    params = _with_alpha1(params08, 0.05)
+    x = 1e160 / params.m0  # hypot(1, x) == x here
+    expect = params.c_hi * math.exp(-(params.m0 / params.T1) * math.atan(x) - 1.05 * math.log(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = pdf_eval(params, 1e160)
+        many = pdf_eval(params, np.array([params.m1, 1e160, 1e300]))
+    assert dens == pytest.approx(expect, rel=1e-12)
+    assert dens == pytest.approx(1.163e-171, rel=1e-3)
+    assert many[1] == dens and 0.0 < many[2] < many[1] < many[0]
+
+
+def test_underflowed_k_still_integrates_the_upper_branch():
+    # m0/T1 = 1e-330 underflows to 0, which cut the upper intervals into no parts
+    base = dict(T=1.0, alpha=2.0, alpha1=1.5, m0=1e-30, m1=2e-30, m_init=1e-31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero, small = (normalize(ModelParams(T1=T1, **base)) for T1 in (1e300, 1e200))
+        assert zero.m0 / zero.T1 == 0.0
+        for m in (zero.m1, 10.0 * zero.m1):
+            assert ccdf_eval(zero, m) == pytest.approx(ccdf_eval(small, m), rel=1e-12)
+
+
 def test_pdf_integrates_to_one(params08):
     # trapezoid over a dense log grid, plus the analytic power tail remainder
     ms = np.geomspace(params08.m_init, 1e12, 200000)
@@ -210,8 +235,7 @@ def test_quantile_solves_the_ccdf_property(params, qa, qb):
     ma, mb = quantile(params, qa), quantile(params, qb)
     assert ma <= mb
     for q, m in ((qa, ma), (qb, mb)):
-        with np.errstate(over="ignore"):  # pdf_eval reads 0 beyond ~1e154 m0
-            slack = 1e-8 * m * pdf_eval(params, m) + 1e-8 * (1.0 - q)
+        slack = 1e-8 * m * pdf_eval(params, m) + 1e-8 * (1.0 - q)
         assert abs(ccdf_eval(params, m) - (1.0 - q)) <= slack
         assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
 
