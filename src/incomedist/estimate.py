@@ -27,14 +27,17 @@ index segments of the search, read from its own prefix tables, so incomes
 tied at a break stay in the segment the search scored them in.
 
 Step 3 refines T and m0 jointly by minimizing the log-CCDF misfit of the full
-normalized model over all points, with T in [T, 1.5 T] and m0 starting at
+model over all points, with T in [T, 1.5 T] and m0 starting at
 m0_hat.  Refining T alone with m0 pinned at the low segment break lets T
 absorb the crossover error (on the 2008 wave, T +26% and m0 -39%); refined
 together, both land within a few percent.  The search runs in logarithms of
 T and m0 relative to their segment values, so it is scale covariant.  alpha,
 alpha1 and m1 keep their segment values.  The refinement's table grid is
 fixed, so the misfit is a quadratic form in the 800 node log CCDFs, built
-once per fit: an evaluation costs one table and O(grid), not O(points).
+once per fit.  The first node's tail mass is the normalization integral, so
+trial points need no normalize: an evaluation costs one engine pass over
+the nodes and O(grid), not O(points), and only the returned point is
+normalized.
 
 Everything is OLS on log plotting positions, not maximum likelihood.  The
 residuals of such a fit are partial sums of independent order-statistic
@@ -407,14 +410,16 @@ def fit_rank(values) -> RankFit:
 def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     """Global joint refinement of T on [T, 1.5 T] and of the crossover m0.
 
-    Minimizes the summed squared log-CCDF residual of the fully normalized
-    model over every data point, as a tridiagonal quadratic form in the log
-    CCDF on one 800-node ccdf_table grid (`model._log_ccdf_misfit`, built once
-    per call), by Nelder-Mead in (ln T/T_start, ln m0/m0_start),
-    which keeps the search covariant under income rescaling; m0 starts at
-    the input value and stays inside the model's (m_init, m1].  T1 moves
-    with T whenever the input had T1 = T (the imposed equal-temperature
-    convention).  Returns the input params unchanged when no improvement is
+    Minimizes the summed squared log-CCDF residual of the model over every
+    data point, as a tridiagonal quadratic form in the log CCDF on one
+    800-node ccdf_table grid (`model._log_ccdf_misfit`, built once per call),
+    by Nelder-Mead in (ln T/T_start, ln m0/m0_start), which keeps the search
+    covariant under income rescaling; m0 starts at the input value and stays
+    inside the model's (m_init, m1].  An evaluation is one engine pass over
+    the grid, with the trial point left unnormalized: the misfit divides by
+    the tail mass at the first node, m_init.  T1 moves with T whenever the
+    input had T1 = T (the imposed equal-temperature convention).  Returns the
+    normalized optimum, or the input params unchanged when no improvement is
     found.
     """
     from scipy import optimize  # imported on first use: most commands never fit
@@ -424,10 +429,10 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
 
     def at(u) -> ModelParams:
         T = params.T * math.exp(u[0])
-        return normalize(replace(
+        return replace(
             params, T=T, T1=(T if tied else params.T1),
             m0=params.m0 * math.exp(u[1]), c_lo=None, c_hi=None,
-        ))
+        )
 
     def objective(u) -> float:
         if not params.m_init < params.m0 * math.exp(u[1]) <= params.m1:
@@ -442,7 +447,7 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     )
     if not res.fun < base:
         return params
-    return at(res.x)
+    return normalize(at(res.x))
 
 
 def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:

@@ -29,7 +29,7 @@ infinity with the fixed 21-point Gauss-Kronrod rule, every piece in one
 array pass: pieces are graded geometrically toward w = 0, which keeps the
 sin^(alpha1-1) endpoint singularity for alpha1 < 1 outside each of them, and
 the last stretch next to w = 0 is a short series.  Normalization, the
-scalar CCDF and the CCDF table are all calls to it.
+scalar CCDF, the CCDF table and the fit's misfit are all calls to it.
 """
 
 from __future__ import annotations
@@ -420,15 +420,19 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     For parameter sets with this m_init and m1 the ccdf_table grid is fixed,
     so the interpolated logs are A v, with v the log CCDF at the nodes and A
     fixed, two entries per row, and the sum is v.G.v - 2 h.v + c, G = A'A
-    tridiagonal and h = A' log_p, built here once: a call is one table pass
-    and O(grid) arithmetic.  Its rounding floor is ~1e-16 sum(log_p^2); a tail
-    that underflows on the grid gives inf.
+    tridiagonal and h = A' log_p, built here once.  The first node is m_init,
+    whose tail mass is the normalization integral, so v = log(tails) -
+    log(tails[0]) from one _ccdf_nodes pass with c_lo = 1 and c_hi the
+    continuity ratio needs no normalize: a call takes params with or without
+    constants and is one engine pass and O(grid) arithmetic.  Its rounding floor is ~1e-16 sum(log_p^2); a tail
+    that underflows on the grid, or a zero or infinite integral, gives inf.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
         raise ValueError("all incomes must be >= m_init")
     m_hi = float(arr.max()) * (1.0 + 1e-12)  # as in ccdf_eval_many
-    x, grid = np.log(arr), np.log(_table_grid(m_init, m1, m_hi, n_grid))
+    nodes = _table_grid(m_init, m1, m_hi, n_grid)
+    x, grid = np.log(arr), np.log(nodes)
     n = grid.size
     j = np.minimum(np.searchsorted(grid, x, side="right") - 1, n - 2)
     t = (x - grid[j]) / (grid[j + 1] - grid[j])  # the weight on node j + 1
@@ -439,8 +443,10 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     c = float(log_p @ log_p)
 
     def misfit(params: ModelParams) -> float:
-        with np.errstate(divide="ignore"):
-            v = np.log(ccdf_table(params, m_hi, n_grid)[1])
+        tails, _ = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.log(tails)
+            v -= v[0]
         if not np.all(np.isfinite(v)):
             return math.inf
         return float(v @ (diag * v - 2.0 * h) + 2.0 * (off @ (v[:-1] * v[1:])) + c)

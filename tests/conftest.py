@@ -36,11 +36,15 @@ def ccdf08_noiseless(params08):
 
 
 def direct_misfit(ms, log_p, m_init, m1, n_grid):
-    """Reference for model._log_ccdf_misfit: interpolate at every income and sum the squares."""
+    """Reference for model._log_ccdf_misfit: interpolate at every income and sum the squares.
+
+    Like the misfit, it takes params with or without constants, and
+    normalizes them itself.
+    """
     log_ms, m_hi = np.log(ms), float(np.max(ms)) * (1.0 + 1e-12)
 
     def misfit(params):
-        grid_m, grid_pi = ccdf_table(params, m_hi, n_grid)
+        grid_m, grid_pi = ccdf_table(normalize(params), m_hi, n_grid)
         with np.errstate(divide="ignore", invalid="ignore"):
             resid = np.interp(log_ms, np.log(grid_m), np.log(grid_pi)) - log_p
         return float(resid @ resid)

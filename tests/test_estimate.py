@@ -20,7 +20,7 @@ from incomedist import (
     refine_temperature,
     sample_incomes,
 )
-from incomedist import estimate
+from incomedist import estimate, model
 from incomedist.estimate import MIN_SEGMENT, _PrefixOLS, _candidate_indices, _search_segments
 
 from conftest import direct_misfit, noiseless_ccdf
@@ -215,6 +215,60 @@ def test_refine_matches_the_direct_sum_objective(monkeypatch, params08):
     assert ref.params.m0 != ref.m0_hat  # the refinement moved
     assert fast.params.T == pytest.approx(ref.params.T, rel=1e-9, abs=0.0)
     assert fast.params.m0 == pytest.approx(ref.params.m0, rel=1e-9, abs=0.0)
+
+
+def _counted_refine(monkeypatch, ccdf, params):
+    """refine_temperature(ccdf, params) with its engine passes and normalize calls counted.
+
+    Also returns how many objective calls kept m0 inside (m_init, m1], where
+    the misfit is evaluated: the start, plus every Nelder-Mead trial point.
+    """
+    from scipy import optimize
+
+    counts = {"passes": 0, "normalize": 0}
+    trials = []
+
+    def counted(name, f):
+        def wrapped(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapped
+
+    def recorded(minimize):
+        return lambda fun, *args, **kw: minimize(lambda u: trials.append(tuple(u)) or fun(u), *args, **kw)
+
+    monkeypatch.setattr(model, "_ccdf_nodes", counted("passes", model._ccdf_nodes))
+    monkeypatch.setattr(estimate, "normalize", counted("normalize", estimate.normalize))
+    monkeypatch.setattr(optimize, "minimize", recorded(optimize.minimize))
+    refined = refine_temperature(ccdf, params)
+    inside = 1 + sum(params.m_init < params.m0 * np.exp(u1) <= params.m1 for _, u1 in trials)
+    return refined, counts, inside
+
+
+def test_refine_makes_one_engine_pass_per_evaluation(monkeypatch, params08):
+    # criterion 6's draw, from the fit's own start: the segment values
+    ccdf = rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
+    report = fit_full(ccdf, params08.m_init)
+    start = normalize(replace(report.params, T=report.T_bg, T1=report.T_bg, m0=report.m0_hat,
+                              c_lo=None, c_hi=None))
+    refined, counts, inside = _counted_refine(monkeypatch, ccdf, start)
+    assert refined == report.params  # the refinement moved, to the fit's result
+    assert inside > 50
+    assert counts["normalize"] == 1  # the returned point only
+    assert counts["passes"] == inside + 1  # one per evaluation, and normalize's own
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # scipy's inf - inf
+def test_refine_that_returns_its_input_never_normalizes(monkeypatch, params08):
+    # a tail of (1e250 / m1)^-3 underflows on the grid at every trial point,
+    # so no score is finite and the input comes back as it was
+    light = normalize(replace(params08, alpha1=3.0, c_lo=None, c_hi=None))
+    ccdf = EmpiricalCCDF(incomes=np.array([1e250, params08.m0, 2.0 * params08.m_init]),
+                         p=np.array([1e-300, 0.5, 0.9]))
+    refined, counts, inside = _counted_refine(monkeypatch, ccdf, light)
+    assert refined is light
+    assert counts["normalize"] == 0
+    assert counts["passes"] == inside > 1
 
 
 def test_fit_full_report_structure(params08):

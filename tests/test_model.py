@@ -578,6 +578,20 @@ def test_log_ccdf_misfit_matches_direct_sum_across_the_box(request, params08, da
         assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)
 
 
+@pytest.mark.parametrize("t, f", [(1.0, 0.5), (1.2, 0.8), (1.5, 1.0), (1.5, None), (1.1, 0.6)])
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_log_ccdf_misfit_needs_no_constants(year, t, f):
+    # the refinement scores unnormalized trial points: the misfit must not
+    # depend on whether the constants are set
+    params = preset_params(year)
+    data = noiseless_ccdf(params, 20000)
+    fast = _log_ccdf_misfit(data.incomes, np.log(data.p), params.m_init, params.m1, 800)
+    for normalized in (params, _in_box(params, t, f)):
+        bare = replace(normalized, c_lo=None, c_hi=None)
+        assert math.isfinite(fast(bare))
+        assert fast(bare) == pytest.approx(fast(normalized), rel=1e-12, abs=0.0)
+
+
 def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
     # m_init is the grid's first node and m1 an inserted one: weight 1 on one node
     rng = np.random.default_rng(7)
@@ -597,5 +611,12 @@ def test_log_ccdf_misfit_is_inf_where_the_tail_underflows(params08):
     assert grid_pi[-1] == 0.0
     assert fast(light) == math.inf
     assert fast(params08) < math.inf  # the same grid with a heavier tail stays finite
+    # T a thousandth of m_init: the normalization integral itself underflows
+    cold = replace(params08, T=1e-3 * params08.m_init, T1=1e-3 * params08.m_init, c_lo=None, c_hi=None)
+    with pytest.raises(ValueError, match="normalization integral"):
+        normalize(cold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fast(cold) == math.inf
     with pytest.raises(ValueError, match="m_init"):
         _log_ccdf_misfit(ms * 0.0 + 0.5 * params08.m_init, np.zeros(3), params08.m_init, params08.m1, 800)
