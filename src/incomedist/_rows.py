@@ -12,6 +12,8 @@ column after another, and writes their rows to stdout as UTF-8.
 import sys
 from itertools import chain
 
+BLOCK_ROWS = 16384  # rows formatted at a time, which bounds the memory of a shard
+
 
 def format_rows(columns) -> str:
     """The rows of equal-length columns of floats, each line ended by LF."""
@@ -20,14 +22,17 @@ def format_rows(columns) -> str:
     return "\n".join(chain(rows, [""]))
 
 
-def _main(ncol: int) -> None:
-    from array import array
+def write_rows(out, columns, lo: int, hi: int) -> None:
+    """Write rows lo:hi of float64 arrays or memoryviews to a binary stream, in blocks."""
+    for start in range(lo, hi, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, hi)
+        out.write(format_rows([col[start:stop].tolist() for col in columns]).encode("utf-8"))
 
-    values = array("d")
-    values.frombytes(sys.stdin.buffer.read())
+
+def _main(ncol: int) -> None:
+    values = memoryview(sys.stdin.buffer.read()).cast("d")
     n = len(values) // ncol
-    text = format_rows([values[i * n:(i + 1) * n].tolist() for i in range(ncol)])
-    sys.stdout.buffer.write(text.encode("utf-8"))
+    write_rows(sys.stdout.buffer, [values[i * n:(i + 1) * n] for i in range(ncol)], 0, n)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ import numpy as np
 
 from incomedist.empirics import (
     EmpiricalCCDF,
-    ParseError,
     _is_header,
     _overlap_factor,
     _write_csv,
@@ -39,20 +38,18 @@ from incomedist.estimate import (
 )
 from incomedist.inequality import compute_stats, gini
 from incomedist.model import (
+    _COEFF_KEYS,
     _PARAM_KEYS,
     LangevinCoeffs,
     ModelParams,
-    TailDivergenceError,
     ccdf_eval_many,
     coeffs_to_effective,
     effective_to_coeffs,
     normalize,
 )
-from incomedist.simulate import SimConfig, StabilityError, ks_distance, run_ensemble, stability_bound
+from incomedist.simulate import SimConfig, ks_distance, run_ensemble, stability_bound
 
 __all__ = ["main"]
-
-_COEFF_KEYS = {"A0", "a", "A0_hi", "a_hi", "B0", "b"}
 
 
 def _say(args, msg: str) -> None:
@@ -97,8 +94,7 @@ def cmd_fuse(args) -> int:
     factor = args.factor
     if factor is None:
         if not rich.size:
-            print("error: empty rich list and no --factor given", file=sys.stderr)
-            return 2
+            raise ValueError("empty rich list and no --factor given")
         factor = _overlap_factor(survey, rich, cut=args.cut, top_k=args.top_k)
     fused = fuse(survey, rich, factor=factor)
     out = _out_path(args)
@@ -110,13 +106,9 @@ def cmd_fuse(args) -> int:
 
 def cmd_fit(args) -> int:
     ccdf = _load_any_ccdf(args.data)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DegenerateTailWarning)
-            report = fit_full(ccdf, args.m_init)
-    except (EstimationError, DegenerateTailWarning, TailDivergenceError) as exc:
-        print(f"error: estimation failed: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateTailWarning)
+        report = fit_full(ccdf, args.m_init)
     out = _out_path(args)
     _write_line(out, report.to_json())
     _say(args, report.summary())
@@ -149,18 +141,19 @@ def cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         text = fh.read()
     obj = json.loads(text)
+    keys = obj if isinstance(obj, dict) else {}
     params = None
-    if "params" in obj or set(_PARAM_KEYS).issubset(obj):
+    if "params" in keys or set(_PARAM_KEYS).issubset(keys):
         params = ModelParams.from_json(text)
         coeffs = effective_to_coeffs(params)
         m1, m_init = params.m1, params.m_init
-    elif _COEFF_KEYS.issubset(obj):
-        coeffs = LangevinCoeffs.from_json(json.dumps(obj))
+    elif set(_COEFF_KEYS).issubset(keys):
+        coeffs = LangevinCoeffs.from_json(text)
         if args.m1 is None:
             raise ValueError("coefficient input needs --m1")
         m1, m_init = args.m1, args.m_init
-    elif "coeffs" in obj:
-        base = SimConfig.from_json(json.dumps(obj))
+    elif "coeffs" in keys:
+        base = SimConfig.from_json(text)
         coeffs, m1, m_init = base.coeffs, base.m1, base.m_init
     else:
         raise ValueError(f"{args.config}: neither model parameters, coefficients, "
@@ -178,7 +171,7 @@ def cmd_simulate(args) -> int:
     if params is None:
         try:
             params = normalize(coeffs_to_effective(coeffs, m1, m_init))
-        except (TailDivergenceError, ValueError):
+        except ValueError:  # TailDivergenceError among them
             params = None
     if params is None:
         print("ks: undefined (no normalizable equilibrium)")
@@ -191,8 +184,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.params is None and args.incomes is None:
-        print("error: need --params and/or --incomes", file=sys.stderr)
-        return 2
+        raise ValueError("need --params and/or --incomes")
     incomes = load_incomes(args.incomes) if args.incomes else None
     out = _out_path(args)
     if args.params is None:
@@ -293,13 +285,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
+    except (EstimationError, DegenerateTailWarning) as exc:
         print(f"error: estimation failed: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, StabilityError, TailDivergenceError, ValueError) as exc:
+    # input errors: ParseError, JSONDecodeError, StabilityError and
+    # TailDivergenceError are ValueErrors too
+    except (OSError, ValueError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the documented internal-error code

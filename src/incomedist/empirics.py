@@ -170,8 +170,8 @@ def _read_lines(path, header: str) -> np.ndarray:
 
 
 # An export of at least twice this many rows is cut into one shard of rows
-# per CPU, each of at least this many rows.  A child interpreter costs about
-# 25 ms to start and feed; on two CPUs the shards win from about 60,000 rows.
+# per CPU, each of at least this many rows.  A child interpreter takes about
+# 25 ms to start; on two CPUs the shards win from about 60,000 rows.
 _SHARD_ROWS = 50_000
 # the formatter that the children run as a script
 _ROWS_SCRIPT = _rows.__file__
@@ -185,28 +185,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _format(cols, lo: int, hi: int) -> bytes:
-    return _rows.format_rows([col[lo:hi].tolist() for col in cols]).encode("utf-8")
-
-
 def _start_child(reap: ExitStack, cols, lo: int, hi: int):
-    """A child interpreter formatting rows lo:hi, fed their columns; None if it cannot start."""
+    """A child interpreter formatting rows lo:hi and the file it writes them to, or (None, None).
+
+    It reads its columns from another temporary file: neither process waits on the other.
+    """
     # imported here: `import incomedist` does not load subprocess
     import subprocess
+    import tempfile
 
     try:
-        child = reap.enter_context(subprocess.Popen(
-            [sys.executable, "-I", "-S", _ROWS_SCRIPT, str(len(cols))],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-    except OSError:
-        return None
-    try:
-        with child.stdin:
+        rows = reap.enter_context(tempfile.TemporaryFile())
+        with tempfile.TemporaryFile() as columns:
             for col in cols:
-                child.stdin.write(col[lo:hi])
-    except OSError:  # it exited before reading them; its exit code tells
-        pass
-    return child
+                columns.write(col[lo:hi])
+            columns.seek(0)
+            return reap.enter_context(subprocess.Popen(
+                [sys.executable, "-I", "-S", _ROWS_SCRIPT, str(len(cols))],
+                stdin=columns, stdout=rows)), rows
+    except OSError:
+        return None, None
 
 
 def _write_csv(path, header: str, *columns) -> None:
@@ -214,7 +212,7 @@ def _write_csv(path, header: str, *columns) -> None:
 
     A large table is cut into one shard of rows per CPU: this process formats
     the first while child interpreters format the others with the same
-    `_rows.format_rows`.  A shard whose child cannot start, fails or returns
+    `_rows.write_rows`.  A shard whose child cannot start, fails or returns
     too few rows is formatted here instead, so the bytes never depend on the
     CPU count or on the children.
     """
@@ -230,15 +228,18 @@ def _write_csv(path, header: str, *columns) -> None:
             fh.write(f"{header}\n".encode("utf-8"))
             for lo, hi in shards:
                 children.append(_start_child(reap, cols, lo, hi))
-            fh.write(_format(cols, bounds[0], bounds[1]))
-            for child, (lo, hi) in zip(children, shards):
-                text = child.stdout.read() if child else b""
-                if not child or child.wait() or text.count(b"\n") != hi - lo:
-                    text = _format(cols, lo, hi)
-                fh.write(text)
+            _rows.write_rows(fh, cols, bounds[0], bounds[1])
+            for (child, rows), (lo, hi) in zip(children, shards):
+                if child and not child.wait():
+                    rows.seek(0)  # the child moved the offset that it shares with `rows`
+                    if (text := rows.read()).count(b"\n") == hi - lo:
+                        fh.write(text)
+                        continue
+                _rows.write_rows(fh, cols, lo, hi)
         except BaseException:
-            for child in filter(None, children):
-                child.kill()
+            for child, _ in children:
+                if child:
+                    child.kill()
             raise
 
 

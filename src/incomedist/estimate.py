@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -142,8 +142,8 @@ class FitReport:
             raise ValueError("refined_T must lie in [T_bg, 1.5 T_bg]")
 
     def to_json(self) -> str:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj["params"] = json.loads(self.params.to_json())  # shape parameters only
+        obj = asdict(self)
+        del obj["params"]["c_lo"], obj["params"]["c_hi"]  # shape parameters only
         return json.dumps(obj, sort_keys=True)
 
     def summary(self) -> str:

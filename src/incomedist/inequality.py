@@ -13,8 +13,7 @@ higher moments diverge, so the median is the only location measure.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,16 +126,7 @@ class ClassStats:
             raise ValueError(f"gini out of range: {self.gini}")
 
     def to_json(self) -> str:
-        obj = {
-            "f_low": self.f_low,
-            "f_med": self.f_med,
-            "f_high": self.f_high,
-            "r1": self.r1,
-            "r2": self.r2,
-            "median": self.median,
-            "gini": self.gini,
-        }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def table(self) -> str:
         rows = [

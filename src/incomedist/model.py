@@ -136,11 +136,27 @@ class LangevinCoeffs:
 
     @classmethod
     def from_json(cls, text: str) -> "LangevinCoeffs":
-        obj = json.loads(text)
-        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
+        return cls(**_numbers(json.loads(text), _COEFF_KEYS, name="coefficient JSON"))
 
 
+_COEFF_KEYS = tuple(f.name for f in fields(LangevinCoeffs))
 _PARAM_KEYS = ("T", "T1", "alpha", "alpha1", "m0", "m1", "m_init")
+
+
+def _numbers(obj, keys, kind=float, name="JSON") -> dict:
+    """`keys` of the JSON object `obj`, each converted by `kind`; a ValueError names a bad key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{name} missing keys: {missing}")
+    values = {}
+    for k in keys:
+        try:
+            values[k] = kind(obj[k])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{name} key {k!r}: {exc}") from None
+    return values
 
 
 @dataclass(frozen=True)
@@ -198,11 +214,7 @@ class ModelParams:
         obj = json.loads(text)
         if isinstance(obj, dict) and isinstance(obj.get("params"), dict):
             obj = obj["params"]  # `incomedist fit` output nests the parameters
-        missing = [k for k in _PARAM_KEYS if k not in obj]
-        if missing:
-            raise ValueError(f"parameter JSON missing keys: {missing}")
-        params = cls(**{k: float(obj[k]) for k in _PARAM_KEYS})
-        return normalize(params)
+        return normalize(cls(**_numbers(obj, _PARAM_KEYS, name="parameter JSON")))
 
 
 @dataclass(frozen=True)

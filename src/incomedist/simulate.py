@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from incomedist.empirics import _cpu_count, _write_csv
-from incomedist.model import LangevinCoeffs, ModelParams, ccdf_eval_many
+from incomedist.model import _COEFF_KEYS, LangevinCoeffs, ModelParams, _numbers, ccdf_eval_many
 
 __all__ = [
     "StabilityError",
@@ -91,24 +91,17 @@ class SimConfig:
             )
 
     def to_json(self) -> str:
-        obj = {
-            "coeffs": json.loads(self.coeffs.to_json()),
-            "m1": self.m1, "m_init": self.m_init, "dt": self.dt,
-            "n_steps": self.n_steps, "n_paths": self.n_paths,
-            "seed": self.seed, "burn_in": self.burn_in,
-        }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
+        """A config from the object `to_json` writes; a missing `burn_in` reads as 0."""
         obj = json.loads(text)
-        coeffs = LangevinCoeffs(**{k: float(v) for k, v in obj["coeffs"].items()})
-        return cls(
-            coeffs=coeffs, m1=float(obj["m1"]), m_init=float(obj["m_init"]),
-            dt=float(obj["dt"]), n_steps=int(obj["n_steps"]),
-            n_paths=int(obj["n_paths"]), seed=int(obj["seed"]),
-            burn_in=int(obj.get("burn_in", 0)),
-        )
+        floats = _numbers(obj, ("m1", "m_init", "dt"), name="sim-config JSON")
+        ints = _numbers({"burn_in": 0, **obj}, ("n_steps", "n_paths", "seed", "burn_in"), int,
+                        name="sim-config JSON")
+        coeffs = _numbers(obj.get("coeffs"), _COEFF_KEYS, name="sim-config coeffs")
+        return cls(coeffs=LangevinCoeffs(**coeffs), **floats, **ints)
 
 
 @dataclass(frozen=True)

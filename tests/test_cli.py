@@ -8,6 +8,7 @@ factor/ks report lines that scripts are expected to scrape.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,12 +20,19 @@ from hypothesis import example, given, settings, strategies as st
 import incomedist
 from conftest import noiseless_ccdf
 from incomedist import (
+    ClassStats,
     EmpiricalCCDF,
+    FitReport,
+    LangevinCoeffs,
+    ModelParams,
+    SimConfig,
     ccdf_eval_many,
+    effective_to_coeffs,
     forbes_incomes,
     fuse,
     load_incomes,
     load_wealth_pairs,
+    preset_params,
 )
 from incomedist.cli import main
 
@@ -348,14 +356,76 @@ def test_malformed_income_value_exit2(tmp_path, capsys):
     assert "error: ccdf:" in capsys.readouterr().err
 
 
-def test_bad_params_json_exit2(tmp_path, capsys):
-    broken = tmp_path / "broken.json"
-    _write(broken, "{not json")
-    assert main(["eval", str(broken)]) == 2
-    partial = tmp_path / "partial.json"
-    _write(partial, json.dumps({"T": 4.0e4}))
-    assert main(["eval", str(partial)]) == 2
-    assert "missing keys" in capsys.readouterr().err
+# files that hold no usable params, coefficient or sim-config record
+_P08 = preset_params("2008")
+_CONFIG08 = json.loads(SimConfig(coeffs=effective_to_coeffs(_P08), m1=_P08.m1, m_init=_P08.m_init,
+                                 dt=1e-3, n_steps=5, n_paths=10, seed=0).to_json())
+_MALFORMED = {
+    "not-json": "{not json",
+    "partial": json.dumps({"T": 4.0e4}),
+    "number": "5",
+    "null": "null",
+    "true": "true",
+    "T-list": json.dumps(dict(json.loads(_P08.to_json()), T=[1])),
+    "T-null": json.dumps(dict(json.loads(_P08.to_json()), T=None)),
+    "coeff-missing": json.dumps(dict(_CONFIG08, coeffs={k: v for k, v in _CONFIG08["coeffs"].items()
+                                                        if k != "b"})),
+    "no-dt": json.dumps({k: v for k, v in _CONFIG08.items() if k != "dt"}),
+    "coeffs-list": json.dumps(dict(_CONFIG08, coeffs=list(_CONFIG08["coeffs"].values()))),
+    "n_paths-list": json.dumps(dict(_CONFIG08, n_paths=[3])),
+    "n_paths-inf": json.dumps(dict(_CONFIG08, n_paths=math.inf)),
+}
+
+
+@pytest.mark.parametrize("argv", [["stats", "--params"], ["eval"],
+                                  ["simulate", "--n-steps", "5", "--n-paths", "10"]],
+                         ids=["stats", "eval", "simulate"])
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_bad_params_json_exit2(tmp_path, capsys, name, argv):
+    # an input error, never an internal error
+    bad = tmp_path / f"{name}.json"
+    _write(bad, _MALFORMED[name])
+    out = tmp_path / "out"
+    assert main(argv + [str(bad), "--output", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}:"), err
+    if name == "partial" and argv[0] != "simulate":
+        assert "missing keys" in err
+    assert not out.exists()
+
+
+def test_simulate_ignores_unknown_json_keys(tmp_path):
+    cfile = tmp_path / "config.json"
+    _write(cfile, json.dumps(dict(_CONFIG08, coeffs=dict(_CONFIG08["coeffs"], c=1.0),
+                                  comment="extra keys are ignored")))
+    assert main(["simulate", str(cfile), "--n-steps", "5", "--n-paths", "10",
+                 "--output", str(tmp_path / "s.csv"), "--quiet"]) == 0
+
+
+def test_json_writers_pin_key_order_and_number_format():
+    # sorted keys, repr floats, JSON null and false, a tuple as a list, and
+    # a fit report's params without the normalization constants
+    coeffs = LangevinCoeffs(A0=1.5, a=2.0, A0_hi=0.25, a_hi=-0.5, B0=1e16, b=1.0)
+    config = SimConfig(coeffs=coeffs, m1=4e5, m_init=0.01, dt=0.001, n_steps=20, n_paths=3,
+                       seed=7, burn_in=2)
+    assert config.to_json() == (
+        '{"burn_in": 2, "coeffs": {"A0": 1.5, "A0_hi": 0.25, "B0": 1e+16, "a": 2.0, '
+        '"a_hi": -0.5, "b": 1.0}, "dt": 0.001, "m1": 400000.0, "m_init": 0.01, '
+        '"n_paths": 3, "n_steps": 20, "seed": 7}')
+    stats = ClassStats(f_low=60.0, f_med=39.9, f_high=0.1, r1=1 / 3, r2=399.0, median=12345.5)
+    assert stats.to_json() == (
+        '{"f_high": 0.1, "f_low": 60.0, "f_med": 39.9, "gini": null, "median": 12345.5, '
+        '"r1": 0.3333333333333333, "r2": 399.0}')
+    params = ModelParams(T=1.0, T1=2.0, alpha=1.5, alpha1=0.5, m0=10.0, m1=100.0, m_init=0.01)
+    report = FitReport(params=params, T_bg=1.0, alpha_fit=1.5, alpha_se=0.0625, alpha1_fit=0.5,
+                       alpha1_se=1e-05, m0_hat=10.0, m0_rel_unc=0.1, m1_hat=100.0,
+                       m1_rel_unc=0.2, ssr_per_segment=(1.0, 2.5, 1e-20), refined_T=1.25)
+    assert report.to_json() == (
+        '{"T_bg": 1.0, "alpha1_fit": 0.5, "alpha1_se": 1e-05, "alpha_fit": 1.5, '
+        '"alpha_se": 0.0625, "degenerate_tail": false, "m0_hat": 10.0, "m0_rel_unc": 0.1, '
+        '"m1_hat": 100.0, "m1_rel_unc": 0.2, "params": {"T": 1.0, "T1": 2.0, "alpha": 1.5, '
+        '"alpha1": 0.5, "m0": 10.0, "m1": 100.0, "m_init": 0.01}, "refined_T": 1.25, '
+        '"ssr_per_segment": [1.0, 2.5, 1e-20]}')
 
 
 def test_unknown_subcommand_is_usage_error():
