@@ -145,32 +145,29 @@ def cmd_simulate(args) -> int:
     params = None
     if "params" in keys or set(_PARAM_KEYS).issubset(keys):
         params = ModelParams.from_json(text)
-        coeffs = effective_to_coeffs(params)
-        m1, m_init = params.m1, params.m_init
+        run = {"coeffs": effective_to_coeffs(params), "m1": params.m1, "m_init": params.m_init}
     elif set(_COEFF_KEYS).issubset(keys):
         coeffs = LangevinCoeffs.from_json(text)
         if args.m1 is None:
             raise ValueError("coefficient input needs --m1")
-        m1, m_init = args.m1, args.m_init
+        run = {"coeffs": coeffs, "m1": args.m1, "m_init": args.m_init}
     elif "coeffs" in keys:
-        base = SimConfig.from_json(text)
-        coeffs, m1, m_init = base.coeffs, base.m1, base.m_init
+        run = vars(SimConfig.from_json(text))  # the saved run, validated
     else:
         raise ValueError(f"{args.config}: neither model parameters, coefficients, "
                          "nor a simulation config")
-    dt = args.dt if args.dt is not None else 0.01 * stability_bound(coeffs)
-    config = SimConfig(
-        coeffs=coeffs, m1=m1, m_init=m_init, dt=dt,
-        n_steps=args.n_steps, n_paths=args.n_paths,
-        seed=args.seed,
-    )
+    # a flag given replaces its field; the defaults fill what neither gives
+    flags = {k: v for k in ("dt", "n_steps", "n_paths", "seed")
+             if (v := getattr(args, k)) is not None}
+    config = SimConfig(**{"dt": 0.01 * stability_bound(run["coeffs"]), "n_steps": 20_000,
+                          "n_paths": 10_000, "seed": 0, **run, **flags})
     ens = run_ensemble(config, initial=args.initial,
                        dtype="float32" if args.float32 else "float64")
     out = _out_path(args)
     ens.to_csv(out)
     if params is None:
         try:
-            params = normalize(coeffs_to_effective(coeffs, m1, m_init))
+            params = normalize(coeffs_to_effective(config.coeffs, config.m1, config.m_init))
         except ValueError:  # TailDivergenceError among them
             params = None
     if params is None:
@@ -256,16 +253,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", parents=[common],
                         help="Euler-Maruyama ensemble of the threshold Langevin dynamics")
-    sp.add_argument("config", help="parameter JSON, coefficient JSON, or full sim config JSON")
+    sp.add_argument("config", help="parameter JSON, coefficient JSON, or a sim config JSON "
+                                   "(run as saved; a run flag given replaces its field)")
     sp.add_argument("--dt", type=float, help="time step (default: 1%% of the stability bound)")
-    sp.add_argument("--n-steps", type=int, default=20000, dest="n_steps")
-    sp.add_argument("--n-paths", type=int, default=10000, dest="n_paths")
+    sp.add_argument("--n-steps", type=int, dest="n_steps", help="steps (default 20000)")
+    sp.add_argument("--n-paths", type=int, dest="n_paths", help="paths (default 10000)")
     sp.add_argument("--m1", type=float, help="threshold income (coefficient input only)")
     sp.add_argument("--m-init", type=float, default=0.01, dest="m_init",
                     help="reflecting floor (coefficient input only)")
     sp.add_argument("--initial", type=float, help="common initial income (default: additive-regime mean)")
     sp.add_argument("--float32", action="store_true", help="single-precision paths (faster)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
     sp.set_defaults(func=cmd_simulate, default_output="samples.csv")
 
     sp = sub.add_parser("stats", parents=[common],

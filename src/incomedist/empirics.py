@@ -207,6 +207,12 @@ def _start_child(reap: ExitStack, cols, lo: int, hi: int):
         return None, None
 
 
+def _blocks(rows):
+    """A child's output file from its start, in blocks of 1 MiB."""
+    rows.seek(0)  # the child moved the offset that it shares with `rows`
+    return iter(lambda: rows.read(1 << 20), b"")
+
+
 def _write_csv(path, header: str, *columns) -> None:
     """A header line, then one line of comma-joined repr floats per row, LF endings.
 
@@ -230,12 +236,11 @@ def _write_csv(path, header: str, *columns) -> None:
                 children.append(_start_child(reap, cols, lo, hi))
             _rows.write_rows(fh, cols, bounds[0], bounds[1])
             for (child, rows), (lo, hi) in zip(children, shards):
-                if child and not child.wait():
-                    rows.seek(0)  # the child moved the offset that it shares with `rows`
-                    if (text := rows.read()).count(b"\n") == hi - lo:
-                        fh.write(text)
-                        continue
-                _rows.write_rows(fh, cols, lo, hi)
+                if child and not child.wait() and (
+                        sum(block.count(b"\n") for block in _blocks(rows)) == hi - lo):
+                    fh.writelines(_blocks(rows))
+                else:
+                    _rows.write_rows(fh, cols, lo, hi)
         except BaseException:
             for child, _ in children:
                 if child:
@@ -313,13 +318,14 @@ def forbes_incomes(pairs) -> np.ndarray:
 def find_scale_factor(survey_high, rich_list) -> float:
     """Factor s with min(s * rich) = min(survey_high), the min-alignment rule.
 
-    Warns (OverlapWarning) when the scaled rich list fails to reach the top
-    of the survey segment, i.e. the overlap is only partial.
+    Both lists must be non-empty, with every income positive and finite
+    (ValueError).  Warns (OverlapWarning) when the scaled rich list fails to
+    reach the top of the survey segment, i.e. the overlap is only partial.
     """
     hi = _incomes_array(survey_high)
     rich = _incomes_array(rich_list)
-    if hi.size == 0 or rich.size == 0:
-        raise ValueError("both income lists must be non-empty")
+    if not (_positive_finite(hi) and _positive_finite(rich)):
+        raise ValueError("both income lists must be non-empty, positive and finite")
     s = float(hi.min() / rich.min())
     if s * rich.max() < hi.max():
         warnings.warn(
@@ -384,7 +390,7 @@ def load_incomes(path) -> np.ndarray:
 
 
 def load_wealth_pairs(path) -> list[WealthPair]:
-    """Read a wealth-pair CSV with header id,wealth_prev,wealth_curr."""
+    """Read a wealth-pair CSV with header id,wealth_prev,wealth_curr; a bad cell names its column."""
     out: list[WealthPair] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -403,13 +409,13 @@ def load_wealth_pairs(path) -> list[WealthPair]:
             values = []
             for col, cell in enumerate(row[1:], start=2):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ParseError(f"bad wealth value {cell!r}", lineno, col) from None
-            try:
-                out.append(WealthPair(id=row[0], wealth_prev=values[0], wealth_curr=values[1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                    value = np.nan
+                if not 0.0 <= value < np.inf:
+                    raise ParseError(f"bad {expected[col - 1]} {cell!r}", lineno, col)
+                values.append(value)
+            out.append(WealthPair(row[0], *values))
     if not out:
         warnings.warn(f"no wealth rows in {path}", EmptyFileWarning, stacklevel=2)
     return out

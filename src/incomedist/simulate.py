@@ -56,11 +56,7 @@ def stability_bound(coeffs: LangevinCoeffs) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete, serializable description of one ensemble run.
-
-    burn_in is validated and recorded (saved configs carry it) but not used
-    by run_ensemble, which returns the state after all n_steps.
-    """
+    """Complete, serializable description of one ensemble run."""
 
     coeffs: LangevinCoeffs
     m1: float
@@ -69,7 +65,6 @@ class SimConfig:
     n_steps: int
     n_paths: int
     seed: int
-    burn_in: int = 0
 
     def __post_init__(self) -> None:
         if not (self.m_init > 0.0 and math.isfinite(self.m_init)):
@@ -78,10 +73,8 @@ class SimConfig:
             raise ValueError(f"m1 must exceed m_init, got {self.m1}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (0 <= self.burn_in <= self.n_steps):
-            raise ValueError(
-                f"need n_steps >= burn_in >= 0, got n_steps={self.n_steps}, burn_in={self.burn_in}"
-            )
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         bound = stability_bound(self.coeffs)
@@ -95,11 +88,10 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
-        """A config from the object `to_json` writes; a missing `burn_in` reads as 0."""
+        """A config from the object `to_json` writes; unknown keys are ignored."""
         obj = json.loads(text)
         floats = _numbers(obj, ("m1", "m_init", "dt"), name="sim-config JSON")
-        ints = _numbers({"burn_in": 0, **obj}, ("n_steps", "n_paths", "seed", "burn_in"), int,
-                        name="sim-config JSON")
+        ints = _numbers(obj, ("n_steps", "n_paths", "seed"), int, name="sim-config JSON")
         coeffs = _numbers(obj.get("coeffs"), _COEFF_KEYS, name="sim-config coeffs")
         return cls(coeffs=LangevinCoeffs(**coeffs), **floats, **ints)
 

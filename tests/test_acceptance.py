@@ -136,7 +136,6 @@ def test_criterion_5_simulator_matches_equilibrium(params08):
         coeffs=effective_to_coeffs(params08),
         m1=params08.m1, m_init=params08.m_init,
         dt=2e-4, n_steps=20_000, n_paths=100_000, seed=20080101,
-        burn_in=10_000,
     )
     ens = run_ensemble(config, dtype="float32")
     ks = ks_distance(ens.samples, params08)

@@ -6,6 +6,7 @@ factor/ks report lines that scripts are expected to scrape.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -33,6 +34,7 @@ from incomedist import (
     load_incomes,
     load_wealth_pairs,
     preset_params,
+    run_ensemble,
 )
 from incomedist.cli import main
 
@@ -402,14 +404,31 @@ def test_simulate_ignores_unknown_json_keys(tmp_path):
                  "--output", str(tmp_path / "s.csv"), "--quiet"]) == 0
 
 
+def test_simulate_sim_config_runs_as_saved(tmp_path):
+    # every field of a saved config is used, and a flag replaces only its
+    # own; the key `burn_in` of older configs is ignored
+    config = SimConfig(coeffs=effective_to_coeffs(_P08), m1=_P08.m1, m_init=_P08.m_init,
+                       dt=1e-3, n_steps=50, n_paths=300, seed=1)
+    cfile, out, ref = tmp_path / "config.json", tmp_path / "s.csv", tmp_path / "ref.csv"
+    _write(cfile, json.dumps(dict(json.loads(config.to_json()), burn_in=10)))
+    for flags, changes in [([], {}), (["--dt", "5e-4"], {"dt": 5e-4}),
+                           (["--n-steps", "20"], {"n_steps": 20}),
+                           (["--n-paths", "100"], {"n_paths": 100}),
+                           (["--seed", "2"], {"seed": 2})]:
+        assert main(["simulate", str(cfile), *flags, "--output", str(out), "--quiet"]) == 0
+        run_ensemble(dataclasses.replace(config, **changes)).to_csv(ref)
+        assert out.read_bytes() == ref.read_bytes(), flags
+        assert out.read_bytes().count(b"\n") == 1 + changes.get("n_paths", 300)
+
+
 def test_json_writers_pin_key_order_and_number_format():
     # sorted keys, repr floats, JSON null and false, a tuple as a list, and
     # a fit report's params without the normalization constants
     coeffs = LangevinCoeffs(A0=1.5, a=2.0, A0_hi=0.25, a_hi=-0.5, B0=1e16, b=1.0)
     config = SimConfig(coeffs=coeffs, m1=4e5, m_init=0.01, dt=0.001, n_steps=20, n_paths=3,
-                       seed=7, burn_in=2)
+                       seed=7)
     assert config.to_json() == (
-        '{"burn_in": 2, "coeffs": {"A0": 1.5, "A0_hi": 0.25, "B0": 1e+16, "a": 2.0, '
+        '{"coeffs": {"A0": 1.5, "A0_hi": 0.25, "B0": 1e+16, "a": 2.0, '
         '"a_hi": -0.5, "b": 1.0}, "dt": 0.001, "m1": 400000.0, "m_init": 0.01, '
         '"n_paths": 3, "n_steps": 20, "seed": 7}')
     stats = ClassStats(f_low=60.0, f_med=39.9, f_high=0.1, r1=1 / 3, r2=399.0, median=12345.5)

@@ -121,6 +121,17 @@ def test_load_wealth_pairs(tmp_path):
     assert err.value.line == 2 and err.value.column == 3
 
 
+@pytest.mark.parametrize("row, column", [("a,-1,2", 2), ("a,1,-2", 3), ("a,nan,2", 2),
+                                         ("a,1,inf", 3), ("a,x,2", 2)])
+def test_load_wealth_pairs_reports_the_bad_cell(tmp_path, row, column):
+    path = tmp_path / "w.csv"
+    # a zero wealth on line 2 is valid
+    path.write_text(f"id,wealth_prev,wealth_curr\nb,0,2\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_wealth_pairs(path)
+    assert (err.value.line, err.value.column) == (3, column)
+
+
 def test_forbes_incomes_keeps_positive_gains():
     pairs = [
         WealthPair(id="up", wealth_prev=1.0, wealth_curr=4.0),
@@ -134,6 +145,14 @@ def test_find_scale_factor_min_alignment():
     survey_high = [200.0, 300.0, 400.0]
     rich = [20000.0, 30000.0, 50000.0]
     assert find_scale_factor(survey_high, rich) == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("survey_high, rich", [([100.0], [0.0, 5.0]), ([100.0], [np.nan]),
+                                               ([-1.0, 100.0], [5.0]), ([100.0], [np.inf]),
+                                               ([], [5.0]), ([100.0], [])])
+def test_find_scale_factor_rejects_incomes_not_positive_and_finite(survey_high, rich):
+    with pytest.raises(ValueError, match="positive and finite"):
+        find_scale_factor(survey_high, rich)
 
 
 def test_find_scale_factor_partial_overlap_warns():
@@ -426,8 +445,8 @@ def test_sharded_write_falls_back_when_no_child_starts(tmp_path, monkeypatch, ex
     "import sys\nsys.stdin.buffer.read()\nsys.stdout.write('1.0\\n')\n",
 ])
 def test_sharded_write_falls_back_when_a_child_fails(tmp_path, body):
-    # 160 kB of columns per child, more than a pipe holds: one that exits
-    # unread breaks the pipe
+    # 160 kB of columns per child, more than a pipe holds; they go through
+    # a file, so a child that exits without reading them blocks nothing
     a = np.geomspace(1.0, 1e6, 30_000)
     b = np.linspace(0.1, 0.9, 30_000)
     path = tmp_path / "t.csv"

@@ -45,13 +45,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _config(n_paths=0)
     with pytest.raises(ValueError):
-        _config(burn_in=11)
+        _config(n_steps=-1)
     with pytest.raises(ValueError):
         _config(m1=0.005)
 
 
 def test_config_json_round_trip():
-    cfg = _config(n_steps=123, burn_in=23, seed=9)
+    cfg = _config(n_steps=123, seed=9)
     assert SimConfig.from_json(cfg.to_json()) == cfg
 
 
