@@ -143,6 +143,7 @@ def cmd_simulate(args) -> int:
     obj = json.loads(text)
     keys = obj if isinstance(obj, dict) else {}
     params = None
+    law_flags = [flag for flag, v in (("--m1", args.m1), ("--m-init", args.m_init)) if v is not None]
     if "params" in keys or set(_PARAM_KEYS).issubset(keys):
         params = ModelParams.from_json(text)
         run = {"coeffs": effective_to_coeffs(params), "m1": params.m1, "m_init": params.m_init}
@@ -150,12 +151,17 @@ def cmd_simulate(args) -> int:
         coeffs = LangevinCoeffs.from_json(text)
         if args.m1 is None:
             raise ValueError("coefficient input needs --m1")
-        run = {"coeffs": coeffs, "m1": args.m1, "m_init": args.m_init}
+        run = {"coeffs": coeffs, "m1": args.m1,
+               "m_init": 0.01 if args.m_init is None else args.m_init}
+        law_flags = []
     elif "coeffs" in keys:
         run = vars(SimConfig.from_json(text))  # the saved run, validated
     else:
         raise ValueError(f"{args.config}: neither model parameters, coefficients, "
                          "nor a simulation config")
+    if law_flags:
+        raise ValueError(f"{' and '.join(law_flags)}: coefficient input only "
+                         "(this input sets its own m1 and m_init)")
     # a flag given replaces its field; the defaults fill what neither gives
     flags = {k: v for k in ("dt", "n_steps", "n_paths", "seed")
              if (v := getattr(args, k)) is not None}
@@ -258,9 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, help="time step (default: 1%% of the stability bound)")
     sp.add_argument("--n-steps", type=int, dest="n_steps", help="steps (default 20000)")
     sp.add_argument("--n-paths", type=int, dest="n_paths", help="paths (default 10000)")
-    sp.add_argument("--m1", type=float, help="threshold income (coefficient input only)")
-    sp.add_argument("--m-init", type=float, default=0.01, dest="m_init",
-                    help="reflecting floor (coefficient input only)")
+    sp.add_argument("--m1", type=float,
+                    help="threshold income (coefficient input only, where it is required)")
+    sp.add_argument("--m-init", type=float, dest="m_init",
+                    help="reflecting floor (coefficient input only; default 0.01)")
     sp.add_argument("--initial", type=float, help="common initial income (default: additive-regime mean)")
     sp.add_argument("--float32", action="store_true", help="single-precision paths (faster)")
     sp.add_argument("--seed", type=int, help="RNG seed (default 0)")

@@ -24,7 +24,10 @@ re-estimates the crossover.
 Step 2 reads the temperature T from segment 1 and the exponents alpha, alpha1
 from segments 2 and 3; T1 = T is imposed throughout.  These are the winning
 index segments of the search, read from its own prefix tables, so incomes
-tied at a break stay in the segment the search scored them in.
+tied at a break stay in the segment the search scored them in.  The tables
+keep their prefix sums only at the candidate boundaries (and at 0 and n),
+each built by one cumsum in place, so the search holds a few columns of n
+doubles, not the ten full-length sums a table per index would take.
 
 Step 3 refines T and m0 jointly by minimizing the log-CCDF misfit of the full
 model over all points, with T in [T, 1.5 T] and m0 starting at
@@ -164,61 +167,69 @@ class FitReport:
 
 
 class _PrefixOLS:
-    """O(1) OLS over any contiguous index range of a fixed sample.
+    """O(1) OLS over the index range between any two of a fixed sample's cuts.
 
-    Each difference of prefix sums loses digits in proportion to how far the
-    table's centre lies from the segment's own values, so the data are
-    centred at their medians.  A mean would not do: with alpha1 < 1 the tail
-    drags the mean of raw incomes to 1e10 and beyond, where the exponential
-    segment's SSR loses every digit (Chan, Golub & LeVeque 1983).
+    The five prefix sums are kept only at the ascending cut indices, so a
+    table over n points holds O(len(cuts)) numbers, and a segment is named by
+    two cut positions a < b: it is [cuts[a], cuts[b]).  Each difference of
+    prefix sums loses digits in proportion to how far the table's centre lies
+    from the segment's own values, so the data are centred at their medians.
+    A mean would not do: with alpha1 < 1 the tail drags the mean of raw
+    incomes to 1e10 and beyond, where the exponential segment's SSR loses
+    every digit (Chan, Golub & LeVeque 1983).
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
+    def __init__(self, x: np.ndarray, y: np.ndarray, cuts: np.ndarray):
+        self.x, self.y, self.cuts = x, y, cuts
         self.x_shift = float(np.median(x))
         self.y_shift = float(np.median(y))
         cx = x - self.x_shift
         cy = y - self.y_shift
-        z = np.zeros(1)
-        self.sx = np.concatenate([z, np.cumsum(cx)])
-        self.sy = np.concatenate([z, np.cumsum(cy)])
-        self.sxx = np.concatenate([z, np.cumsum(cx * cx)])
-        self.sxy = np.concatenate([z, np.cumsum(cx * cy)])
-        self.syy = np.concatenate([z, np.cumsum(cy * cy)])
+        self.sxx = self._at_cuts(cx * cx)
+        self.sxy = self._at_cuts(cx * cy)
+        self.syy = self._at_cuts(cy * cy)
+        self.sx = self._at_cuts(cx)
+        self.sy = self._at_cuts(cy)
 
-    def moments(self, i, j):
-        """Segment moments (n, var_x, cov, var_y) for [i, j)."""
+    def _at_cuts(self, v: np.ndarray) -> np.ndarray:
+        """Sums of v over [0, c) at each cut c, by one cumsum in place; consumes v."""
+        np.cumsum(v, out=v)
+        return np.where(self.cuts > 0, v[self.cuts - 1], 0.0)
+
+    def moments(self, a, b):
+        """Segment moments (n, var_x, cov, var_y) between cut positions a and b."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            n = j - i
-            sx = self.sx[j] - self.sx[i]
-            sy = self.sy[j] - self.sy[i]
-            var_x = (self.sxx[j] - self.sxx[i]) - sx * sx / n
-            cov = (self.sxy[j] - self.sxy[i]) - sx * sy / n
-            var_y = (self.syy[j] - self.syy[i]) - sy * sy / n
+            n = self.cuts[b] - self.cuts[a]
+            sx = self.sx[b] - self.sx[a]
+            sy = self.sy[b] - self.sy[a]
+            var_x = (self.sxx[b] - self.sxx[a]) - sx * sx / n
+            cov = (self.sxy[b] - self.sxy[a]) - sx * sy / n
+            var_y = (self.syy[b] - self.syy[a]) - sy * sy / n
         return n, var_x, cov, var_y
 
-    def ssr(self, i, j):
-        n, var_x, cov, var_y = self.moments(i, j)
+    def ssr(self, a, b):
+        n, var_x, cov, var_y = self.moments(a, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = var_y - np.where(var_x > 0.0, cov * cov / var_x, 0.0)
         return np.maximum(out, 0.0)
 
-    def line(self, i: int, j: int) -> tuple[float, float, float]:
-        """slope, intercept (original coordinates) and ssr over [i, j), in O(1)."""
-        n, var_x, cov, var_y = self.moments(i, j)
+    def line(self, a: int, b: int) -> tuple[float, float, float]:
+        """slope, intercept (original coordinates) and ssr between cut positions a and b, in O(1)."""
+        n, var_x, cov, var_y = self.moments(a, b)
         if not (var_x > 0.0):
             raise EstimationError("zero x-variance in regression window")
         slope = float(cov / var_x)
         ssr = max(float(var_y - cov * cov / var_x), 0.0)
-        sx = float(self.sx[j] - self.sx[i])
-        sy = float(self.sy[j] - self.sy[i])
+        sx = float(self.sx[b] - self.sx[a])
+        sy = float(self.sy[b] - self.sy[a])
         intercept = (
             (sy - slope * sx) / n + self.y_shift - slope * self.x_shift
         )
         return slope, intercept, ssr
 
-    def stderr(self, i: int, j: int, slope: float) -> float:
-        """Standard error of the slope over [i, j) (see `_increment_stderr`), in O(j - i)."""
+    def stderr(self, a: int, b: int, slope: float) -> float:
+        """Standard error of the slope between cut positions a and b (see `_increment_stderr`)."""
+        i, j = self.cuts[a], self.cuts[b]
         return _increment_stderr(self.x[i:j], self.y[i:j], slope)
 
 
@@ -246,8 +257,9 @@ def _increment_stderr(x: np.ndarray, y: np.ndarray, slope: float) -> float:
 
 
 def _ascending(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
-    # stored richest-first; fits index from poorest to richest
-    return ccdf.incomes[::-1].copy(), ccdf.p[::-1].copy()
+    # stored richest-first; fits index from poorest to richest.  Views: numpy's
+    # log can round a strided view differently, so copy before taking logs.
+    return ccdf.incomes[::-1], ccdf.p[::-1]
 
 
 def _candidate_indices(n: int, min_segment: int) -> np.ndarray:
@@ -281,23 +293,25 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
         raise EstimationError(
             f"need >= 3 decades of income span, got {math.log10(span):.2f}"
         )
-    lnp = np.log(p)
-    lnx = np.log(x)
-    lin = _PrefixOLS(x, lnp)
-    loglog = _PrefixOLS(lnx, lnp)
-
+    lnp = np.log(p.copy())
+    lnx = np.log(x.copy())
     idx = _candidate_indices(n, min_segment)
     k = idx.size
-    ii = idx[:, None].repeat(k, 1)
-    jj = idx[None, :].repeat(k, 0)
-    valid = (jj - ii) >= min_segment
-    ssr1 = lin.ssr(np.zeros_like(idx), idx)[:, None]
-    ssr3 = loglog.ssr(idx, np.full_like(idx, n))[None, :]
+    cuts = np.concatenate([[0], idx, [n]])  # candidate idx[c] is cut position c + 1
+    lin = _PrefixOLS(x, lnp, cuts)
+    loglog = _PrefixOLS(lnx, lnp, cuts)
+
+    pos = np.arange(1, k + 1)
+    ii, jj = pos[:, None], pos[None, :]
+    valid = (idx[None, :] - idx[:, None]) >= min_segment
+    ssr1 = lin.ssr(0, ii)
+    ssr3 = loglog.ssr(jj, k + 1)
     ssr2 = np.where(valid, loglog.ssr(np.minimum(ii, jj), np.maximum(ii, jj)), np.inf)
     total = np.where(valid, ssr1 + ssr2 + ssr3, np.inf)
 
     flat = int(np.argmin(total))  # first minimum: smallest m0, then smallest m1
-    i, j = int(idx[flat // k]), int(idx[flat % k])
+    a, b = flat // k + 1, flat % k + 1
+    i, j = int(cuts[a]), int(cuts[b])
     best = float(total.flat[flat])
     if not math.isfinite(best):
         raise EstimationError("no admissible segmentation found")
@@ -316,12 +330,12 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
             DegenerateTailWarning,
             stacklevel=3,
         )
-    (s1, _, r1), (s2, _, r2), (s3, _, r3) = lin.line(0, i), loglog.line(i, j), loglog.line(j, n)
+    (s1, _, r1), (s2, _, r2), (s3, _, r3) = lin.line(0, a), loglog.line(a, b), loglog.line(b, k + 1)
     return {
         "m0": float(x[i]), "m1": float(x[j]),
         "slopes": (s1, s2, s3),
         "ssr": (r1, r2, r3),
-        "slope_se": (loglog.stderr(i, j, s2), loglog.stderr(j, n, s3)),
+        "slope_se": (loglog.stderr(a, b, s2), loglog.stderr(b, k + 1, s3)),
         "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i])) if m0_set.size else 0.0,
         "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j])) if m1_set.size else 0.0,
         "degenerate": bool(degenerate),
@@ -352,7 +366,7 @@ def _window(ccdf: EmpiricalCCDF, lo: float, hi: float) -> tuple[np.ndarray, np.n
 def fit_temperature(ccdf: EmpiricalCCDF, m_init: float, m0: float) -> float:
     """Income temperature from the exponential segment: OLS ln p on (m - m_init)."""
     x, p = _window(ccdf, m_init, m0)
-    slope, _, _ = _PrefixOLS(x - m_init, np.log(p)).line(0, x.size)
+    slope, _, _ = _PrefixOLS(x - m_init, np.log(p), np.array([0, x.size])).line(0, 1)
     if slope >= 0.0:
         raise EstimationError("exponential window has non-decaying CCDF")
     return -1.0 / slope
@@ -368,15 +382,15 @@ def fit_pareto_exponent(ccdf: EmpiricalCCDF, lo: float, hi: float = math.inf) ->
     power law.
     """
     x, p = _window(ccdf, lo, hi)
-    ols = _PrefixOLS(np.log(x), np.log(p))
-    slope, intercept, ssr = ols.line(0, x.size)
+    ols = _PrefixOLS(np.log(x), np.log(p), np.array([0, x.size]))
+    slope, intercept, ssr = ols.line(0, 1)
     if slope >= 0.0:
         raise EstimationError("window is not power-law decreasing")
     alpha = -slope
     m_sp = math.exp(intercept / alpha)
     return ParetoSegmentFit(
         fit=ParetoFit(m_sp=m_sp, alpha=alpha),
-        stderr=ols.stderr(0, x.size, slope), ssr=ssr, n_points=int(x.size),
+        stderr=ols.stderr(0, 1, slope), ssr=ssr, n_points=int(x.size),
     )
 
 
@@ -395,15 +409,15 @@ def fit_rank(values) -> RankFit:
         raise EstimationError("values must be positive and finite")
     ordered = np.sort(arr)[::-1]
     ln_rank = np.log(np.arange(1, arr.size + 1, dtype=float))
-    ols = _PrefixOLS(ln_rank, np.log(ordered))
-    slope, _, _ = ols.line(0, arr.size)
+    ols = _PrefixOLS(ln_rank, np.log(ordered), np.array([0, arr.size]))
+    slope, _, _ = ols.line(0, 1)
     if slope >= 0.0:
         raise EstimationError("values do not decay with rank; exponent undefined")
     alpha_rank = -slope
     return RankFit(
         alpha_rank=alpha_rank,
         alpha_pareto=1.0 / alpha_rank,
-        stderr=ols.stderr(0, arr.size, slope) / (alpha_rank * alpha_rank),
+        stderr=ols.stderr(0, 1, slope) / (alpha_rank * alpha_rank),
     )
 
 

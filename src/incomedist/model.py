@@ -444,14 +444,26 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
         raise ValueError("all incomes must be >= m_init")
     m_hi = float(arr.max()) * (1.0 + 1e-12)  # as in ccdf_eval_many
     nodes = _table_grid(m_init, m1, m_hi, n_grid)
-    x, grid = np.log(arr), np.log(nodes)
+    # in place: at most four arrays of len(ms) are live at once, log_p among them
+    t, grid = np.log(arr), np.log(nodes)
     n = grid.size
-    j = np.minimum(np.searchsorted(grid, x, side="right") - 1, n - 2)
-    t = (x - grid[j]) / (grid[j + 1] - grid[j])  # the weight on node j + 1
-    s = 1.0 - t
-    diag = np.bincount(j, s * s, n) + np.bincount(j + 1, t * t, n)
-    off = np.bincount(j, s * t, n - 1)
-    h = np.bincount(j, s * log_p, n) + np.bincount(j + 1, t * log_p, n)
+    j = np.searchsorted(grid, t, side="right")
+    j -= 1
+    np.minimum(j, n - 2, out=j)  # the node at or below each income
+    t -= grid[j]
+    t /= np.diff(grid)[j]  # the weight on node j + 1; 1 - t is node j's
+
+    def on_next(w):  # the sums of w on node j + 1: those over j, one node up
+        return np.concatenate([[0.0], np.bincount(j, w, n - 1)])
+
+    st = 1.0 - t
+    st *= t
+    off = np.bincount(j, st, n - 1)
+    del st
+    diag, h = on_next(t * t), on_next(t * log_p)
+    s = np.subtract(1.0, t, out=t)  # t is spent
+    diag = np.bincount(j, s * s, n) + diag
+    h = np.bincount(j, s * log_p, n) + h
     c = float(log_p @ log_p)
 
     def misfit(params: ModelParams) -> float:
@@ -484,7 +496,9 @@ def _bracket(params: ModelParams, p: float, rungs):
     rungs, tails = climb(np.asarray(rungs, dtype=float))
     if tails[-1] > p and rungs[-1] < _EDGE_CAP:
         lo, pi_lo = float(rungs[-1]), float(tails[-1])
-        n = math.ceil(math.log10(_EDGE_CAP / rungs[-1])) + 1
+        # a difference of logs: the quotient overflows below a top rung of
+        # ~5.6e-9; the spare decade covers its rounding, and climb cuts it off
+        n = math.ceil(math.log10(_EDGE_CAP) - math.log10(rungs[-1])) + 2
         rungs, tails = climb(np.cumprod(np.append(rungs[-1], np.full(n, 10.0)))[1:])
     i = min(int(np.count_nonzero(tails > p)), rungs.size - 1)
     if i:

@@ -421,6 +421,34 @@ def test_simulate_sim_config_runs_as_saved(tmp_path):
         assert out.read_bytes().count(b"\n") == 1 + changes.get("n_paths", 300)
 
 
+@pytest.mark.parametrize("flags", [["--m1", "5e5"], ["--m-init", "3"],
+                                   ["--m1", "5e5", "--m-init", "3"]])
+@pytest.mark.parametrize("kind", ["params", "sim-config"])
+def test_simulate_law_flags_need_coefficient_input(tmp_path, capsys, kind, flags):
+    # a params or sim-config input sets its own m1 and m_init, so a flag that
+    # would replace them is an input error, not a flag silently dropped
+    config = SimConfig(coeffs=effective_to_coeffs(_P08), m1=_P08.m1, m_init=_P08.m_init,
+                       dt=1e-3, n_steps=5, n_paths=10, seed=1)
+    cfile, out = tmp_path / "input.json", tmp_path / "s.csv"
+    _write(cfile, _P08.to_json() if kind == "params" else config.to_json())
+    assert main(["simulate", str(cfile), *flags, "--n-steps", "5", "--n-paths", "10",
+                 "--output", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulate:")
+    assert all(flag in err for flag in flags[::2])
+    assert not out.exists()
+
+
+def test_simulate_coefficient_input_m_init_defaults_to_0_01(tmp_path):
+    cfile = tmp_path / "coeffs.json"
+    _write(cfile, json.dumps(dataclasses.asdict(effective_to_coeffs(_P08))))
+    outs = [tmp_path / "default.csv", tmp_path / "given.csv"]
+    for out, extra in zip(outs, ([], ["--m-init", "0.01"])):
+        assert main(["simulate", str(cfile), "--m1", "4e5", *extra, "--n-steps", "20",
+                     "--n-paths", "50", "--seed", "3", "--output", str(out), "--quiet"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_json_writers_pin_key_order_and_number_format():
     # sorted keys, repr floats, JSON null and false, a tuple as a list, and
     # a fit report's params without the normalization constants
@@ -566,6 +594,9 @@ def _accepted_params(draw):
 
 @settings(max_examples=20)
 @given(_accepted_params())
+# the quantile's decade climb from a top rung below ~5.6e-9 formed
+# 1e300 / rung, which overflowed: this exited 1 (OverflowError)
+@example(dict(T=1e-17, T1=1e-17, alpha=1.0, alpha1=0.01, m0=1e-17, m1=1e-16, m_init=1e-18))
 # m0/T1 underflows to 0 and the median lies 120 decades below the quantile's
 # lowest rung: this exited 1 ("did not converge") before bisection in logs
 @example(dict(T=3.2931301517640636e16, T1=1.0928183746869016e299, alpha=6.034187428662889e-236,

@@ -42,14 +42,50 @@ def test_prefix_ols_matches_polyfit():
     rng = np.random.default_rng(42)
     x = np.sort(rng.normal(size=300))
     y = 2.5 * x - 1.0 + rng.normal(scale=0.2, size=300)
-    ols = _PrefixOLS(x, y)
+    cuts = np.array([0, 3, 10, 200, 250, 299, 300])
+    ols = _PrefixOLS(x, y, cuts)
     for (i, j) in [(0, 300), (10, 200), (250, 299), (0, 3)]:
-        slope, intercept, ssr = ols.line(i, j)
+        slope, intercept, ssr = ols.line(*np.searchsorted(cuts, (i, j)))
         ref = np.polyfit(x[i:j], y[i:j], 1)
         assert slope == pytest.approx(ref[0], rel=1e-9)
         assert intercept == pytest.approx(ref[1], rel=1e-9, abs=1e-12)
         resid = y[i:j] - (slope * x[i:j] + intercept)
         assert ssr == pytest.approx(float(resid @ resid), rel=1e-7, abs=1e-12)
+
+
+@pytest.mark.parametrize("cuts", [[0, 1000], [0, 5, 17, 400, 995, 1000], [3, 4, 999]])
+def test_prefix_ols_sums_at_the_cuts_equal_the_full_tables(cuts):
+    # the sums kept at the cuts are the full-length prefix tables read there,
+    # bit for bit: the same cumsum, consumed in place
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.lognormal(size=1000))
+    y = -x + rng.normal(scale=0.1, size=1000)
+    cuts = np.array(cuts)
+    ols = _PrefixOLS(x, y, cuts)
+    cx, cy = x - ols.x_shift, y - ols.y_shift
+    for name, v in [("sx", cx), ("sy", cy), ("sxx", cx * cx), ("sxy", cx * cy),
+                    ("syy", cy * cy)]:
+        full = np.concatenate([[0], np.cumsum(v)])
+        assert np.array_equal(getattr(ols, name), full[cuts]), name
+    assert ols.sx.size == cuts.size
+
+
+def test_fit_full_traced_peak_is_a_few_columns(params08):
+    # the search keeps its prefix sums at its ~250 candidate cuts, and the
+    # misfit builds its weights in place: the fit's traced peak stays within
+    # 8 columns of n doubles (17.4 with full-length prefix tables)
+    import tracemalloc
+
+    import scipy.optimize  # noqa: F401 - its import is not the fit's memory
+
+    ccdf = rank_ccdf(sample_incomes(params08, 200_000, seed=3))
+    tracemalloc.start()
+    try:
+        fit_full(ccdf, params08.m_init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * ccdf.n, peak / (8 * ccdf.n)
 
 
 def test_fit_temperature_machine_precision():
@@ -147,16 +183,18 @@ def test_detect_optimal_over_grid(params08):
     x = ccdf.incomes[::-1]
     lnp = np.log(ccdf.p[::-1])
     lnx = np.log(x)
-    lin = _PrefixOLS(x, lnp)
-    loglog = _PrefixOLS(lnx, lnp)
     idx = _candidate_indices(ccdf.n, 5)
+    cuts = np.concatenate([[0], idx, [ccdf.n]])
+    lin = _PrefixOLS(x, lnp, cuts)
+    loglog = _PrefixOLS(lnx, lnp, cuts)
     best = sum(res["ssr"])
     rng = np.random.default_rng(1)
     for _ in range(300):
         i, j = sorted(rng.choice(idx, size=2, replace=False))
         if j - i < 5:
             continue
-        total = float(lin.ssr(0, i) + loglog.ssr(i, j) + loglog.ssr(j, ccdf.n))
+        a, b = np.searchsorted(cuts, (i, j))
+        total = float(lin.ssr(0, a) + loglog.ssr(a, b) + loglog.ssr(b, cuts.size - 1))
         assert total >= best - 1e-12
 
 
@@ -421,9 +459,9 @@ def test_fit_full_builds_only_the_search_tables(monkeypatch, params08):
     built = []
 
     class Counted(_PrefixOLS):
-        def __init__(self, x, y):
+        def __init__(self, x, y, cuts):
             built.append(x.size)
-            super().__init__(x, y)
+            super().__init__(x, y, cuts)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("fit_full must read the search's own segment fits")
