@@ -145,9 +145,7 @@ class FitReport:
             raise ValueError("refined_T must lie in [T_bg, 1.5 T_bg]")
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        del obj["params"]["c_lo"], obj["params"]["c_hi"]  # shape parameters only
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def summary(self) -> str:
         lines = [
@@ -276,7 +274,7 @@ def _candidate_indices(n: int, min_segment: int) -> np.ndarray:
     return idx[(idx >= lo) & (idx <= hi)]
 
 
-def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
+def _search_segments(ccdf: EmpiricalCCDF):
     """Grid search over boundary index pairs.
 
     Returns the optimum, its uncertainty profiles and the three winning lines,
@@ -295,7 +293,7 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
         )
     lnp = np.log(p.copy())
     lnx = np.log(x.copy())
-    idx = _candidate_indices(n, min_segment)
+    idx = _candidate_indices(n, MIN_SEGMENT)
     k = idx.size
     cuts = np.concatenate([[0], idx, [n]])  # candidate idx[c] is cut position c + 1
     lin = _PrefixOLS(x, lnp, cuts)
@@ -303,7 +301,7 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
 
     pos = np.arange(1, k + 1)
     ii, jj = pos[:, None], pos[None, :]
-    valid = (idx[None, :] - idx[:, None]) >= min_segment
+    valid = (idx[None, :] - idx[:, None]) >= MIN_SEGMENT
     ssr1 = lin.ssr(0, ii)
     ssr3 = loglog.ssr(jj, k + 1)
     ssr2 = np.where(valid, loglog.ssr(np.minimum(ii, jj), np.maximum(ii, jj)), np.inf)
@@ -323,7 +321,7 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
     m0_set = x[idx[m0_profile <= thresh]]
     m1_set = x[idx[m1_profile <= thresh]]
 
-    degenerate = j >= n - min_segment
+    degenerate = j >= n - MIN_SEGMENT
     if degenerate:
         warnings.warn(
             "third segment pinned at the data edge; no distinct high-income regime",
@@ -342,14 +340,14 @@ def _search_segments(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT):
     }
 
 
-def detect_crossovers(ccdf: EmpiricalCCDF, min_segment: int = MIN_SEGMENT) -> tuple[float, float]:
+def detect_crossovers(ccdf: EmpiricalCCDF) -> tuple[float, float]:
     """Locate the exponential/power and power/power crossover incomes.
 
     Pure grid search over empirical candidate boundaries; the degenerate case
     (best third segment glued to the data edge) is reported by warning, with
     m1 returned at the edge candidate.
     """
-    res = _search_segments(ccdf, min_segment)
+    res = _search_segments(ccdf)
     return res["m0"], res["m1"]
 
 
@@ -430,8 +428,8 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     by Nelder-Mead in (ln T/T_start, ln m0/m0_start), which keeps the search
     covariant under income rescaling; m0 starts at the input value and stays
     inside the model's (m_init, m1].  An evaluation is one engine pass over
-    the grid, with the trial point left unnormalized: the misfit divides by
-    the tail mass at the first node, m_init.  T1 moves with T whenever the
+    the grid, and no trial point's constants are derived: the misfit divides
+    by the tail mass at the first node, m_init.  T1 moves with T whenever the
     input had T1 = T (the imposed equal-temperature convention).  Returns the
     normalized optimum, or the input params unchanged when no improvement is
     found.
@@ -443,10 +441,7 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
 
     def at(u) -> ModelParams:
         T = params.T * math.exp(u[0])
-        return replace(
-            params, T=T, T1=(T if tied else params.T1),
-            m0=params.m0 * math.exp(u[1]), c_lo=None, c_hi=None,
-        )
+        return replace(params, T=T, T1=(T if tied else params.T1), m0=params.m0 * math.exp(u[1]))
 
     def objective(u) -> float:
         if not params.m_init < params.m0 * math.exp(u[1]) <= params.m1:

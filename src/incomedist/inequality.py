@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from incomedist.empirics import _incomes_array
-from incomedist.model import ModelParams, _ccdf_nodes, _require_normalized, quantile
+from incomedist.model import ModelParams, _ccdf_nodes, quantile
 
 __all__ = [
     "DegenerateClassError",
@@ -43,7 +43,6 @@ def class_fractions(params: ModelParams) -> tuple[float, float, float]:
     over the three incomes, so the three telescope to 100*Pi(m_init) = 100 up
     to quadrature tolerance.
     """
-    _require_normalized(params)
     tails, _ = _ccdf_nodes(params, [params.m_init, params.m0, params.m1], params.c_lo, params.c_hi)
     pi_init, pi_0, pi_1 = tails.tolist()
     return (

@@ -34,9 +34,11 @@ scalar CCDF, the CCDF table and the fit's misfit are all calls to it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +69,7 @@ _DECAY = 100.0
 # Below w = _NEAR0 / max(k, 1) the tail integral is a three-term series,
 # exact to rounding there (the next term is below (k w)^3 / 6 relative).
 _NEAR0 = 1e-5
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # QUADPACK's QK21 pair (Piessens et al. 1983): the 21 Kronrod nodes on
 # [-1, 1], and as two columns the Kronrod weights and the Kronrod weights
 # minus those of the embedded 10-point Gauss rule (its nodes are the odd
@@ -140,7 +143,6 @@ class LangevinCoeffs:
 
 
 _COEFF_KEYS = tuple(f.name for f in fields(LangevinCoeffs))
-_PARAM_KEYS = ("T", "T1", "alpha", "alpha1", "m0", "m1", "m_init")
 
 
 def _numbers(obj, keys, kind=float, name="JSON") -> dict:
@@ -166,10 +168,9 @@ class ModelParams:
     T and T1 are the income temperatures of the two regimes, alpha and alpha1
     the power-law exponents, m0 the exponential/power-law crossover, m1 the
     medium/high threshold, and m_init > 0 the reflecting lower income bound.
-    c_lo and c_hi are the normalization constants of the two branches; they
-    are None until :func:`normalize` computes them, and any change to a shape
-    parameter invalidates them (use dataclasses.replace with c_lo=c_hi=None,
-    then re-normalize).
+    These seven fix the law.  Its branch constants c_lo and c_hi follow from
+    continuity at m1 and normalization over [m_init, infinity); they are
+    derived on first use, so dataclasses.replace gives a new law with its own.
     """
 
     T: float
@@ -179,8 +180,6 @@ class ModelParams:
     m0: float
     m1: float
     m_init: float
-    c_lo: float | None = None
-    c_hi: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("T", "T1", "m0", "m1", "m_init"):
@@ -195,18 +194,30 @@ class ModelParams:
             raise ValueError(
                 f"require 0 < m_init < m0 <= m1, got m_init={self.m_init}, m0={self.m0}, m1={self.m1}"
             )
-        if (self.c_lo is None) != (self.c_hi is None):
-            raise ValueError("c_lo and c_hi must be set together")
-        if self.c_lo is not None and not (self.c_lo > 0.0 and self.c_hi > 0.0):
-            raise ValueError("normalization constants must be positive")
+
+    @cached_property
+    def _constants(self) -> tuple[float, float]:
+        """(c_lo, c_hi), from the continuity ratio and one engine pass at m_init; see normalize."""
+        if self.alpha1 <= 0.0:  # sin(w)^(alpha1 - 1) is not integrable at w = 0
+            raise TailDivergenceError(f"tail mass diverges for alpha1 <= 0 (got alpha1={self.alpha1})")
+        ratio = continuity_ratio(self)
+        tail, _ = _ccdf_nodes(self, [self.m_init], 1.0, ratio)
+        raw = float(tail[0])
+        if not (raw > 0.0 and math.isfinite(raw)):
+            raise ValueError(f"normalization integral is not positive and finite: {raw}")
+        return 1.0 / raw, ratio / raw
 
     @property
-    def is_normalized(self) -> bool:
-        return self.c_lo is not None
+    def c_lo(self) -> float:
+        return self._constants[0]
+
+    @property
+    def c_hi(self) -> float:
+        return self._constants[1]
 
     def to_json(self) -> str:
-        """Flat JSON with the shape parameters only; constants are recomputed on load."""
-        return json.dumps({k: getattr(self, k) for k in _PARAM_KEYS}, sort_keys=True)
+        """Flat JSON with the shape parameters only; the constants are derived again on load."""
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
@@ -215,6 +226,9 @@ class ModelParams:
         if isinstance(obj, dict) and isinstance(obj.get("params"), dict):
             obj = obj["params"]  # `incomedist fit` output nests the parameters
         return normalize(cls(**_numbers(obj, _PARAM_KEYS, name="parameter JSON")))
+
+
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -299,7 +313,8 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
     lies at least its own width away from the sin^(alpha'-1) singularity at
     w = 0.  Each piece gets one K21 rule, all in one array pass; the pieces
     are summed per interval and the intervals from the top.  The last
-    interval's remainder below _NEAR0 / max(k, 1) is a series.
+    interval's remainder below _NEAR0 / max(k, 1) is a series, and so is an
+    interval past the float range in m/m0, where sin(w)^(alpha'-1) overflows.
     """
     ms = np.asarray(ms, dtype=float)
     nodes = np.sort(np.concatenate((ms, [params.m1]))) if ms[0] < params.m1 else ms
@@ -324,42 +339,45 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
     owner = part[piece]
     kw = k[owner, None]
     pw = alpha[owner, None] - 1.0
-    # exp(-k pi/2) stays inside the exponent: split off, exp(k w) would
-    # overflow once k w exceeds ~709 even where the integrand itself is tiny
-    mass, err = _kronrod(lambda w: np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw, lo, hi)
+    # every piece lies above eps, where sin(w)^(a-1) <= pi/(2 w): only an eps
+    # below the normal range (m/m0 past the float range) lets a piece overflow
+    far = eps < _TINY
+    with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
+        # exp(-k pi/2) stays inside the exponent: split off, exp(k w) would
+        # overflow once k w exceeds ~709 even where the integrand itself is tiny
+        mass, err = _kronrod(lambda w: np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw, lo, hi)
     c = np.where(upper, c_hi, c_lo)
     mass = c * np.bincount(owner, mass, nodes.size)
-    # exp(k w) sin(w)^(a-1) = w^(a-1) (1 + k w + (k^2/2 - (a-1)/6) w^2 + ...) on [0, eps]
-    mass[-1] += c_hi * math.exp(-k1 * _HALF_PI) * eps**a1 * (
-        1.0 / a1 + k1 * eps / (a1 + 1.0) + (0.5 * k1 * k1 - (a1 - 1.0) / 6.0) * eps * eps / (a1 + 2.0)
-    )
+    err = np.bincount(owner, err, nodes.size)
+    # an interval that overflowed lies wholly below the series cut, where the
+    # series gives its mass
+    for i in np.flatnonzero(~np.isfinite(mass)).tolist() if far else ():
+        branch = float(c[i]), float(k[i]), float(alpha[i])
+        mass[i] = _near0(*branch, float(w_hi[i])) - _near0(*branch, float(w_lo[i]))
+        err[i] = 0.0
+    mass[-1] += _near0(c_hi, k1, a1, eps)
     tail = np.cumsum(mass[::-1])[::-1]
-    err = c @ np.bincount(owner, err, nodes.size)
-    return params.m0 * tail[np.searchsorted(nodes, ms)], params.m0 * err
+    return params.m0 * tail[np.searchsorted(nodes, ms)], params.m0 * (c @ err)
+
+
+def _near0(c: float, k: float, a: float, w: float) -> float:
+    """c times the tail integral over [0, w] of exp(k (w' - pi/2)) sin(w')^(a-1), for w below the series cut."""
+    # exp(k w) sin(w)^(a-1) = w^(a-1) (1 + k w + (k^2/2 - (a-1)/6) w^2 + ...) on [0, w]
+    return c * math.exp(-k * _HALF_PI) * w**a * (
+        1.0 / a + k * w / (a + 1.0) + (0.5 * k * k - (a - 1.0) / 6.0) * w * w / (a + 2.0)
+    )
 
 
 def normalize(params: ModelParams) -> ModelParams:
-    """Return a copy with c_lo, c_hi set so the density integrates to one.
+    """Derive the law's branch constants now and return it.
 
-    Raises TailDivergenceError when alpha1 <= 0: the substituted integrand
-    sin(w)^(alpha1 - 1) then fails to be integrable at w = 0, i.e. the raw
-    tail carries infinite probability mass.
+    A law that cannot be normalized fails here rather than at its first
+    evaluation: TailDivergenceError for alpha1 <= 0, where the raw tail
+    carries infinite probability mass, and ValueError for a continuity ratio
+    or a normalization integral out of the float range.
     """
-    if params.alpha1 <= 0.0:
-        raise TailDivergenceError(
-            f"tail mass diverges for alpha1 <= 0 (got alpha1={params.alpha1})"
-        )
-    ratio = continuity_ratio(params)
-    tail, _ = _ccdf_nodes(params, [params.m_init], 1.0, ratio)
-    raw = float(tail[0])
-    if not (raw > 0.0 and math.isfinite(raw)):
-        raise ValueError(f"normalization integral is not positive and finite: {raw}")
-    return replace(params, c_lo=1.0 / raw, c_hi=ratio / raw)
-
-
-def _require_normalized(params: ModelParams) -> None:
-    if not params.is_normalized:
-        raise ValueError("params are not normalized; call normalize() first")
+    params._constants  # derived once, kept on the law
+    return params
 
 
 def pdf_eval(params: ModelParams, m):
@@ -369,7 +387,6 @@ def pdf_eval(params: ModelParams, m):
     analytic continuity ratio makes the two branch formulas agree at m1.
     Each branch takes hypot(1, m/m0), so far-tail incomes do not overflow.
     """
-    _require_normalized(params)
     arr = np.asarray(m, dtype=float)
     if np.any(arr < params.m_init):
         raise ValueError("m must be >= m_init")
@@ -379,7 +396,6 @@ def pdf_eval(params: ModelParams, m):
 
 def ccdf_eval(params: ModelParams, m: float) -> float:
     """Tail probability P(income > m), by quadrature in the tail width arctan(m0/m)."""
-    _require_normalized(params)
     if m < params.m_init:
         raise ValueError(f"m must be >= m_init, got {m}")
     tail, _ = _ccdf_nodes(params, [m], params.c_lo, params.c_hi)
@@ -395,7 +411,6 @@ def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
     one array pass, so each value is as accurate as a scalar ccdf_eval; m1 is
     inserted as a node so no interval straddles the branch switch.
     """
-    _require_normalized(params)
     if not m_hi > params.m_init:
         raise ValueError("m_hi must exceed m_init")
     ms = _table_grid(params.m_init, params.m1, m_hi, n_grid)
@@ -435,9 +450,10 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     tridiagonal and h = A' log_p, built here once.  The first node is m_init,
     whose tail mass is the normalization integral, so v = log(tails) -
     log(tails[0]) from one _ccdf_nodes pass with c_lo = 1 and c_hi the
-    continuity ratio needs no normalize: a call takes params with or without
-    constants and is one engine pass and O(grid) arithmetic.  Its rounding floor is ~1e-16 sum(log_p^2); a tail
-    that underflows on the grid, or a zero or infinite integral, gives inf.
+    continuity ratio never derives the trial point's constants: a call is
+    one engine pass and O(grid) arithmetic.  Its rounding floor is ~1e-16
+    sum(log_p^2); a tail that underflows on the grid, or a zero or infinite
+    integral, gives inf.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
@@ -530,7 +546,6 @@ def quantile(params: ModelParams, q: float) -> float:
     found to relative tolerance 1e-8 in income, in about four passes in all.
     A quantile beyond ~1e300 raises ValueError.
     """
-    _require_normalized(params)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     target = 1.0 - q
@@ -559,25 +574,23 @@ def quantile(params: ModelParams, q: float) -> float:
     raise RuntimeError(f"the {q} quantile did not converge in 100 steps")
 
 
-def sample_incomes(params: ModelParams, n: int, seed=None, rng=None) -> np.ndarray:
+def sample_incomes(params: ModelParams, n: int, seed=None) -> np.ndarray:
     """Draw n incomes by quantile inversion on a dense CCDF table.
 
     The table extends until the tail probability drops below ~1e-3/n, so the
     chance of any draw being clipped at the table edge is negligible.  The
     edge stops at ~1e300: a tail with alpha1 of a few hundredths holds mass
-    beyond the float range, and those draws clip to the edge.
+    beyond the float range, and those draws clip to the edge.  seed is
+    anything np.random.default_rng takes, a Generator included.
     """
-    _require_normalized(params)
     if n <= 0:
         raise ValueError("n must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     p_floor = max(1e-12, 1e-3 / n)
     decades = np.cumprod(np.append(10.0 * params.m1, np.full(_EDGE_DECADES - 1, 10.0)))
     grid_m, grid_pi = ccdf_table(params, _bracket(params, p_floor, decades)[2], n_grid=4000)
     log_pi = np.log(grid_pi[::-1])
     log_m = np.log(grid_m[::-1])
-    targets = 1.0 - rng.random(n)
+    targets = 1.0 - np.random.default_rng(seed).random(n)
     targets = np.clip(targets, grid_pi[-1], 1.0)
     return np.exp(np.interp(np.log(targets), log_pi, log_m))
 
@@ -586,7 +599,7 @@ def coeffs_to_effective(coeffs: LangevinCoeffs, m1: float, m_init: float) -> Mod
     """Map Langevin coefficients to effective distribution parameters.
 
     T = B0/A0, T1 = B0/A0_hi, alpha = 1 + a/b, alpha1 = 1 + a_hi/b,
-    m0 = sqrt(B0/b).  The result is unnormalized.
+    m0 = sqrt(B0/b).
     """
     if coeffs.A0 <= 0.0 or coeffs.A0_hi <= 0.0:
         raise ValueError("A0 and A0_hi must be positive to define temperatures")

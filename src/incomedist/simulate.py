@@ -8,10 +8,11 @@ Paths are advanced in fixed-size blocks, each block drawing from its own
 child of the master seed sequence.  The blocks run on a thread pool of
 min(n_blocks, available CPUs) workers (numpy's RNG and ufuncs release the
 GIL) and update preallocated buffers in place; results are bit-identical
-whatever the thread count or schedule.  The per-step noise cost dominates;
-a float32 mode halves it when the ~1e-7 relative rounding is irrelevant (it
-is, for distribution-level statistics: income scales are ~1e4..1e7 and step
-noise is ~1e2..1e3).
+whatever the thread count or schedule.  The per-step noise cost dominates,
+and float32 does not halve it (a draw costs about a tenth less than in
+float64); a float32 mode buys a cheaper update and half the memory where
+the ~1e-7 relative rounding is irrelevant (it is, for distribution-level
+statistics: income scales are ~1e4..1e7 and step noise is ~1e2..1e3).
 
 The reflected Euler scheme carries an O(sqrt(dt)) boundary-layer bias (the
 stationary law sits shifted by ~0.58*sqrt(2*B0*dt) near the wall), which is
@@ -224,8 +225,9 @@ def run_ensemble(config: SimConfig, initial=None, *, dtype="float64") -> Ensembl
     consumes its own child of SeedSequence(config.seed), and the blocks run
     on a thread pool of min(n_blocks, available CPUs) workers; results do
     not depend on the thread count or the schedule.
-    dtype: "float64" or "float32"; float32 halves the noise-generation cost,
-    but its squared incomes overflow above about 1.8e19 (ValueError).
+    dtype: "float64" or "float32"; float32 makes the update cheaper and
+    halves the buffers, not the noise cost, and its squared incomes overflow
+    above about 1.8e19 (ValueError).
     """
     # imported here: at module level it would add ~14 ms to every import
     from concurrent.futures import ThreadPoolExecutor

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from incomedist import (
     LangevinCoeffs,
     ModelParams,
     SimConfig,
+    ccdf_eval,
     ccdf_eval_many,
     effective_to_coeffs,
     forbes_incomes,
@@ -613,3 +615,17 @@ def test_stats_and_eval_never_exit_1(tmp_path_factory, obj):
             code = main(argv + ["--quiet"])
         assert code in (0, 2), err.getvalue()
         assert code == 0 or err.getvalue().startswith(f"error: {argv[0]}:")
+
+
+def test_stats_of_a_tail_past_the_float_range(tmp_path):
+    # m/m0 passes the float range below the quantile's decade climb to 1e300:
+    # sin(w)^(alpha1 - 1) overflowed there, every tail below read inf, and
+    # stats exited 2 with numpy's "negative dimensions are not allowed"
+    raw = dict(T=1e-17, T1=1e-17, alpha=1.0, alpha1=0.01, m0=1e-17, m1=1e-16, m_init=1e-18)
+    pfile, out = tmp_path / "far.json", tmp_path / "far-stats.json"
+    _write(pfile, json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stats", "--params", str(pfile), "--output", str(out), "--quiet"]) == 0
+    median = json.loads(out.read_text(encoding="utf-8"))["median"]
+    assert ccdf_eval(ModelParams(**raw), median) == pytest.approx(0.5, abs=1e-8)

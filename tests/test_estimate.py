@@ -10,6 +10,7 @@ from incomedist import (
     EmpiricalCCDF,
     EstimationError,
     RankFit,
+    ccdf_eval,
     detect_crossovers,
     fit_full,
     fit_pareto_exponent,
@@ -287,8 +288,7 @@ def test_refine_makes_one_engine_pass_per_evaluation(monkeypatch, params08):
     # criterion 6's draw, from the fit's own start: the segment values
     ccdf = rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
     report = fit_full(ccdf, params08.m_init)
-    start = normalize(replace(report.params, T=report.T_bg, T1=report.T_bg, m0=report.m0_hat,
-                              c_lo=None, c_hi=None))
+    start = normalize(replace(report.params, T=report.T_bg, T1=report.T_bg, m0=report.m0_hat))
     refined, counts, inside = _counted_refine(monkeypatch, ccdf, start)
     assert refined == report.params  # the refinement moved, to the fit's result
     assert inside > 50
@@ -300,7 +300,7 @@ def test_refine_makes_one_engine_pass_per_evaluation(monkeypatch, params08):
 def test_refine_that_returns_its_input_never_normalizes(monkeypatch, params08):
     # a tail of (1e250 / m1)^-3 underflows on the grid at every trial point,
     # so no score is finite and the input comes back as it was
-    light = normalize(replace(params08, alpha1=3.0, c_lo=None, c_hi=None))
+    light = normalize(replace(params08, alpha1=3.0))
     ccdf = EmpiricalCCDF(incomes=np.array([1e250, params08.m0, 2.0 * params08.m_init]),
                          p=np.array([1e-300, 0.5, 0.9]))
     refined, counts, inside = _counted_refine(monkeypatch, ccdf, light)
@@ -314,7 +314,7 @@ def test_fit_full_report_structure(params08):
     report = fit_full(rank_ccdf(samp), 0.01)
     assert report.m0_hat < report.m1_hat
     assert report.T_bg <= report.refined_T <= 1.5 * report.T_bg * (1 + 1e-12)
-    assert report.params.is_normalized
+    assert ccdf_eval(report.params, report.params.m_init) == pytest.approx(1.0, abs=1e-12)
     assert report.params.T == report.refined_T
     assert report.params.T1 == report.params.T
     assert abs(report.alpha_fit / params08.alpha - 1.0) < 0.08
@@ -421,7 +421,7 @@ def _two_pass_search(ccdf):
 def heavy_tail_ccdf(request, params08):
     # the 2008 shape with a Zipf-like tail: the mean of raw incomes sits
     # near 1e16 (alpha1 = 0.2), far above every exponential-segment income
-    params = normalize(replace(params08, alpha1=request.param, c_lo=None, c_hi=None))
+    params = normalize(replace(params08, alpha1=request.param))
     return rank_ccdf(sample_incomes(params, 100_000, seed=3))
 
 

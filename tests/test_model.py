@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,12 +11,14 @@ from scipy import integrate, optimize
 from incomedist import (
     LangevinCoeffs,
     ModelParams,
+    PRESETS,
     ParetoFit,
     TailDivergenceError,
     bg_ccdf,
     ccdf_eval,
     ccdf_eval_many,
     ccdf_table,
+    class_fractions,
     coeffs_to_effective,
     continuity_ratio,
     effective_to_coeffs,
@@ -158,7 +160,7 @@ def test_quantile_round_trip(params08):
 
 
 def _with_alpha1(params, alpha1):
-    return normalize(replace(params, alpha1=alpha1, c_lo=None, c_hi=None))
+    return normalize(replace(params, alpha1=alpha1))
 
 
 def _asymptotic_tail(params, m):
@@ -297,6 +299,7 @@ def test_sampler_deterministic_and_bounded(params08):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all(a >= params08.m_init)
+    assert sample_incomes(params08, 500, seed=np.random.default_rng(123)).tobytes() == a.tobytes()
 
 
 def test_sampler_matches_model_ks(params08):
@@ -321,7 +324,7 @@ def test_coeff_round_trip(params08):
 
 def test_effective_to_coeffs_rejects_subunit_alpha(params08):
     from dataclasses import replace
-    bad = replace(params08, alpha=0.9, c_lo=None, c_hi=None)
+    bad = replace(params08, alpha=0.9)
     with pytest.raises(ValueError):
         effective_to_coeffs(bad)
 
@@ -329,7 +332,7 @@ def test_effective_to_coeffs_rejects_subunit_alpha(params08):
 def test_continuity_underflow_names_temperatures(params08):
     # the 2008 shape with a cold lower branch: exp(m0 (1/T1 - 1/T) u1) is 0
     from dataclasses import replace
-    cold = replace(params08, T=100.0, c_lo=None, c_hi=None)
+    cold = replace(params08, T=100.0)
     with pytest.raises(ValueError, match=r"underflows at m0/T1 = .*, m0/T = 1400,"):
         continuity_ratio(cold)
     with pytest.raises(ValueError, match="underflows"):
@@ -341,6 +344,29 @@ def test_divergent_tail_rejected():
                     m0=1e5, m1=3e5, m_init=0.01)
     with pytest.raises(TailDivergenceError):
         normalize(p)
+    # a law never passed to normalize fails at its first evaluation, and at
+    # every one after it: a failed derivation is not kept
+    for evaluate in (lambda: pdf_eval(p, 1e4), lambda: ccdf_eval(p, 1e4), lambda: quantile(p, 0.5),
+                     lambda: class_fractions(p), lambda: sample_incomes(p, 10, seed=1)):
+        with pytest.raises(TailDivergenceError):
+            evaluate()
+
+
+def test_replace_gives_a_law_with_its_own_constants():
+    # a copy with a new shape must never carry the constants of the old one
+    q = replace(preset_params("2008"), T=2e4)
+    assert ccdf_eval(q, q.m_init) == pytest.approx(1.0, abs=1e-12)
+    assert sum(class_fractions(q)) == pytest.approx(100.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_law_never_normalized_gives_the_same_bits(year):
+    raw = PRESETS[year]
+    bare, law = ModelParams(**raw), normalize(ModelParams(**raw))
+    ms = np.geomspace(raw["m_init"], 1e3 * raw["m1"], 50)
+    assert pdf_eval(bare, ms).tobytes() == pdf_eval(law, ms).tobytes()
+    assert quantile(bare, 0.9) == quantile(law, 0.9)
+    assert class_fractions(bare) == class_fractions(law)
 
 
 def test_params_validation():
@@ -358,8 +384,9 @@ def test_params_json_round_trip(params08):
     text = params08.to_json()
     keys = set(json.loads(text))
     assert keys == {"T", "T1", "alpha", "alpha1", "m0", "m1", "m_init"}
+    assert tuple(asdict(params08)) == model._PARAM_KEYS  # the shape and nothing else
     back = ModelParams.from_json(text)
-    assert back.is_normalized
+    assert back == params08 and "_constants" in vars(back)  # derived at load
     assert back.c_lo == pytest.approx(params08.c_lo, rel=1e-12)
 
 
@@ -551,8 +578,7 @@ def _in_box(params, t, f):
     """params with T (and a tied T1) scaled by t and m0 by f, or m0 = m1 for f None."""
     T = params.T * t
     return normalize(replace(params, T=T, T1=T if params.T1 == params.T else params.T1,
-                             m0=params.m1 if f is None else params.m0 * f,
-                             c_lo=None, c_hi=None))
+                             m0=params.m1 if f is None else params.m0 * f))
 
 
 @pytest.fixture(scope="module")
@@ -581,15 +607,16 @@ def test_log_ccdf_misfit_matches_direct_sum_across_the_box(request, params08, da
 @pytest.mark.parametrize("t, f", [(1.0, 0.5), (1.2, 0.8), (1.5, 1.0), (1.5, None), (1.1, 0.6)])
 @pytest.mark.parametrize("year", ["2008", "2006"])
 def test_log_ccdf_misfit_needs_no_constants(year, t, f):
-    # the refinement scores unnormalized trial points: the misfit must not
-    # depend on whether the constants are set
+    # the refinement scores trial points without their constants: the misfit
+    # must neither derive them (an engine pass more) nor depend on them
     params = preset_params(year)
     data = noiseless_ccdf(params, 20000)
     fast = _log_ccdf_misfit(data.incomes, np.log(data.p), params.m_init, params.m1, 800)
     for normalized in (params, _in_box(params, t, f)):
-        bare = replace(normalized, c_lo=None, c_hi=None)
+        bare = replace(normalized)  # a new law: its constants are not derived yet
         assert math.isfinite(fast(bare))
         assert fast(bare) == pytest.approx(fast(normalized), rel=1e-12, abs=0.0)
+        assert "_constants" not in vars(bare)
 
 
 def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
@@ -612,7 +639,7 @@ def test_log_ccdf_misfit_is_inf_where_the_tail_underflows(params08):
     assert fast(light) == math.inf
     assert fast(params08) < math.inf  # the same grid with a heavier tail stays finite
     # T a thousandth of m_init: the normalization integral itself underflows
-    cold = replace(params08, T=1e-3 * params08.m_init, T1=1e-3 * params08.m_init, c_lo=None, c_hi=None)
+    cold = replace(params08, T=1e-3 * params08.m_init, T1=1e-3 * params08.m_init)
     with pytest.raises(ValueError, match="normalization integral"):
         normalize(cold)
     with warnings.catch_warnings():
