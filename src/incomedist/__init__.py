@@ -8,10 +8,8 @@ data, crossover/exponent estimation, and inequality statistics.
 from incomedist.empirics import (
     EmpiricalCCDF,
     EmptyFileWarning,
-    IncomeRecord,
     OverlapWarning,
     ParseError,
-    WealthPair,
     find_scale_factor,
     forbes_incomes,
     fuse,

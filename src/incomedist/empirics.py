@@ -27,8 +27,6 @@ __all__ = [
     "ParseError",
     "OverlapWarning",
     "EmptyFileWarning",
-    "IncomeRecord",
-    "WealthPair",
     "EmpiricalCCDF",
     "rank_ccdf",
     "forbes_incomes",
@@ -56,38 +54,9 @@ class EmptyFileWarning(UserWarning):
     """An input file contained no data rows."""
 
 
-@dataclass(frozen=True)
-class IncomeRecord:
-    """One annual household income, EUR, strictly positive."""
-
-    income: float
-
-    def __post_init__(self) -> None:
-        if not (self.income > 0.0 and isfinite(self.income)):
-            raise ValueError(f"income must be positive and finite, got {self.income}")
-
-
-@dataclass(frozen=True)
-class WealthPair:
-    """Wealth of one individual in two consecutive years, EUR."""
-
-    id: str
-    wealth_prev: float
-    wealth_curr: float
-
-    def __post_init__(self) -> None:
-        for name in ("wealth_prev", "wealth_curr"):
-            v = getattr(self, name)
-            if not (v >= 0.0 and isfinite(v)):
-                raise ValueError(f"{name} must be >= 0 and finite, got {v}")
-
-
 def _incomes_array(incomes) -> np.ndarray:
-    """Incomes as a 1-d float64 array, from an array, plain numbers or IncomeRecords."""
-    try:
-        arr = np.asarray(incomes, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.array([r.income for r in incomes], dtype=float)
+    """Incomes as a 1-d float64 array, from an array or a sequence of numbers."""
+    arr = np.asarray(incomes, dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a flat sequence of incomes")
     return arr
@@ -266,7 +235,7 @@ class EmpiricalCCDF:
         object.__setattr__(self, "p", pp)
         if inc.shape != pp.shape or inc.ndim != 1 or inc.size == 0:
             raise ValueError("incomes and p must be equal-length non-empty 1-d arrays")
-        if np.any(inc <= 0.0) or not np.all(np.isfinite(inc)):
+        if not _positive_finite(inc):
             raise ValueError("incomes must be positive and finite")
         if np.any(np.diff(inc) > 0.0):
             raise ValueError("incomes must be non-increasing")
@@ -276,10 +245,6 @@ class EmpiricalCCDF:
     @property
     def n(self) -> int:
         return int(self.incomes.size)
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.incomes.tolist(), self.p.tolist()))
 
     def to_csv(self, path) -> None:
         _write_csv(path, "income,ccdf", self.incomes, self.p)
@@ -310,8 +275,15 @@ def rank_ccdf(incomes) -> EmpiricalCCDF:
 
 
 def forbes_incomes(pairs) -> np.ndarray:
-    """Year-over-year wealth gains as effective incomes; losses are dropped."""
-    gains = np.array([p.wealth_curr - p.wealth_prev for p in pairs], dtype=float)
+    """Year-over-year wealth gains as effective incomes; losses are dropped.
+
+    `pairs` holds (wealth_prev, wealth_curr) rows, as `load_wealth_pairs`
+    returns them: shape (n, 2), every value finite and >= 0 (ValueError).
+    """
+    arr = np.asarray(pairs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError("wealth pairs must be an (n, 2) array of finite values >= 0")
+    gains = arr[:, 1] - arr[:, 0]
     return gains[gains > 0.0]
 
 
@@ -389,24 +361,26 @@ def load_incomes(path) -> np.ndarray:
     return _read_table(path, "income")[:, 0]
 
 
-def load_wealth_pairs(path) -> list[WealthPair]:
-    """Read a wealth-pair CSV with header id,wealth_prev,wealth_curr; a bad cell names its column."""
-    out: list[WealthPair] = []
+def load_wealth_pairs(path) -> np.ndarray:
+    """Read a wealth-pair CSV into an (n, 2) float64 array of (wealth_prev, wealth_curr) rows.
+
+    Line 1 must be the header id,wealth_prev,wealth_curr.  Ids may be quoted;
+    each is checked as a CSV field and dropped.  Blank rows are skipped, every
+    wealth is a finite decimal >= 0, and a bad cell raises ParseError at its
+    row and column.  No rows warn (EmptyFileWarning) and give shape (0, 2).
+    """
+    expected = ["id", "wealth_prev", "wealth_curr"]
+    values: list[float] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            warnings.warn(f"empty wealth-pair file {path}", EmptyFileWarning, stacklevel=2)
-            return out
-        expected = ["id", "wealth_prev", "wealth_curr"]
-        if [h.strip().lower() for h in header] != expected:
+        if header is not None and [h.strip().lower() for h in header] != expected:
             raise ParseError(f"expected header {','.join(expected)}", 1)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            values = []
             for col, cell in enumerate(row[1:], start=2):
                 try:
                     value = float(cell)
@@ -415,7 +389,6 @@ def load_wealth_pairs(path) -> list[WealthPair]:
                 if not 0.0 <= value < np.inf:
                     raise ParseError(f"bad {expected[col - 1]} {cell!r}", lineno, col)
                 values.append(value)
-            out.append(WealthPair(row[0], *values))
-    if not out:
+    if not values:
         warnings.warn(f"no wealth rows in {path}", EmptyFileWarning, stacklevel=2)
-    return out
+    return np.array(values, dtype=float).reshape(-1, 2)

@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from incomedist.empirics import EmpiricalCCDF, _incomes_array
+from incomedist.empirics import EmpiricalCCDF, _incomes_array, _positive_finite
 from incomedist.model import (
     ModelParams,
     ParetoFit,
@@ -403,7 +403,7 @@ def fit_rank(values) -> RankFit:
     arr = _incomes_array(values)
     if arr.size < 3:
         raise EstimationError(f"need at least 3 values, got {arr.size}")
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    if not _positive_finite(arr):
         raise EstimationError("values must be positive and finite")
     ordered = np.sort(arr)[::-1]
     ln_rank = np.log(np.arange(1, arr.size + 1, dtype=float))

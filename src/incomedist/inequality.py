@@ -76,9 +76,8 @@ def gini(records) -> float:
     through the sorted-data identity
     G = 100 * (2 * sum_i i*x_(i) / (n * sum_i x_i) - (n+1)/n).
 
-    Accepts IncomeRecord lists or raw arrays; zeros are allowed (a Gini over
-    {0, x} is well defined and equals 50) even though survey records
-    themselves are strictly positive.
+    Zeros are allowed (a Gini over {0, x} is well defined and equals 50) even
+    though survey incomes themselves are strictly positive.
     """
     xs = _incomes_array(records)
     if xs.size == 0:

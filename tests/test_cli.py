@@ -133,6 +133,18 @@ def test_fuse_fixed_factor_passthrough(tmp_path, capsys):
     assert out.read_bytes() == first  # byte-deterministic rerun
 
 
+def test_fuse_reads_a_quoted_id_holding_a_comma(tmp_path, capsys):
+    survey = tmp_path / "survey.csv"
+    _income_csv(survey, [2.5, 3.0])
+    wealth = tmp_path / "wealth.csv"
+    # gains 2.5 and 3.0 against the survey's 2.5 and 3.0; zero wealth is valid
+    _write(wealth, 'id,wealth_prev,wealth_curr\n"Smith, J",1.0,3.5\n"Doe, A",0,3\n"Roe, B",0,0\n')
+    out = tmp_path / "fused.csv"
+    assert main(["fuse", str(survey), str(wealth), "--output", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == "factor: 1.0\n"
+    assert out.read_text(encoding="utf-8") == "income\n2.5\n3.0\n2.5\n3.0\n"
+
+
 def test_fuse_empty_rich_needs_factor(tmp_path, capsys):
     survey = tmp_path / "survey.csv"
     _income_csv(survey, [3.0, 4.0])

@@ -12,14 +12,14 @@ from incomedist import (
     EmpiricalCCDF,
     EmptyFileWarning,
     Ensemble,
-    IncomeRecord,
+    EstimationError,
     OverlapWarning,
     ParseError,
     SimConfig,
-    WealthPair,
     effective_to_coeffs,
     empirics,
     find_scale_factor,
+    fit_rank,
     forbes_incomes,
     fuse,
     load_incomes,
@@ -48,13 +48,6 @@ def test_ties_get_distinct_positions():
     assert ccdf.p.tolist() == [0.25, 0.5, 0.75]
 
 
-def test_rank_ccdf_accepts_records():
-    recs = [IncomeRecord(income=v) for v in (4.0, 8.0)]
-    ccdf = rank_ccdf(recs)
-    assert ccdf.incomes.tolist() == [8.0, 4.0]
-    assert ccdf.n == 2
-
-
 def test_ccdf_validation():
     with pytest.raises(ValueError):
         EmpiricalCCDF(incomes=np.array([1.0, 2.0]), p=np.array([0.3, 0.6]))  # ascending incomes
@@ -62,6 +55,17 @@ def test_ccdf_validation():
         EmpiricalCCDF(incomes=np.array([2.0, 1.0]), p=np.array([0.6, 0.3]))  # p not increasing
     with pytest.raises(ValueError):
         EmpiricalCCDF(incomes=np.array([2.0, -1.0]), p=np.array([0.3, 0.6]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_one_positive_finite_rule_for_income_arrays(bad):
+    incomes = np.array([3.0, 2.0, bad])
+    with pytest.raises(ValueError, match="^incomes must be positive and finite$"):
+        EmpiricalCCDF(incomes=incomes, p=np.array([0.25, 0.5, 0.75]))
+    with pytest.raises(ValueError, match="^incomes must be positive and finite$"):
+        rank_ccdf(incomes)
+    with pytest.raises(EstimationError, match="^values must be positive and finite$"):
+        fit_rank(incomes)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -104,15 +108,14 @@ def test_load_wealth_pairs(tmp_path):
         "id,wealth_prev,wealth_curr\nA,1.0,3.5\nB,2.0,1.0\n", encoding="utf-8"
     )
     pairs = load_wealth_pairs(path)
-    assert pairs == [
-        WealthPair(id="A", wealth_prev=1.0, wealth_curr=3.5),
-        WealthPair(id="B", wealth_prev=2.0, wealth_curr=1.0),
-    ]
+    assert pairs.dtype == np.float64 and pairs.shape == (2, 2)
+    assert pairs.tolist() == [[1.0, 3.5], [2.0, 1.0]]
 
     nohdr = tmp_path / "n.csv"
     nohdr.write_text("A,1.0,2.0\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         load_wealth_pairs(nohdr)
+    assert (err.value.line, err.value.column) == (1, 1)
 
     badval = tmp_path / "b.csv"
     badval.write_text("id,wealth_prev,wealth_curr\nA,1.0,x\n", encoding="utf-8")
@@ -132,13 +135,36 @@ def test_load_wealth_pairs_reports_the_bad_cell(tmp_path, row, column):
     assert (err.value.line, err.value.column) == (3, column)
 
 
+def test_load_wealth_pairs_reads_a_quoted_id_holding_a_comma(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text('id,wealth_prev,wealth_curr\n"Smith, J",1.0,3.5\n\nb,0,2\n',
+                    encoding="utf-8")
+    assert load_wealth_pairs(path).tolist() == [[1.0, 3.5], [0.0, 2.0]]
+
+
+@pytest.mark.parametrize("text", ["", "id,wealth_prev,wealth_curr\n",
+                                  "id,wealth_prev,wealth_curr\n\n"])
+def test_wealth_file_without_rows_gives_no_pairs(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.warns(EmptyFileWarning):
+        pairs = load_wealth_pairs(path)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.float64
+    assert forbes_incomes(pairs).shape == (0,)
+
+
 def test_forbes_incomes_keeps_positive_gains():
-    pairs = [
-        WealthPair(id="up", wealth_prev=1.0, wealth_curr=4.0),
-        WealthPair(id="down", wealth_prev=5.0, wealth_curr=2.0),
-        WealthPair(id="flat", wealth_prev=3.0, wealth_curr=3.0),
-    ]
+    # (wealth_prev, wealth_curr): up, down, flat
+    pairs = np.array([[1.0, 4.0], [5.0, 2.0], [3.0, 3.0]])
     assert forbes_incomes(pairs).tolist() == [3.0]
+
+
+def test_forbes_incomes_validation():
+    assert forbes_incomes([[0.0, 2.0]]).tolist() == [2.0]  # zero wealth is valid
+    for bad in ([[-1.0, 2.0]], [[1.0, np.nan]], [[np.inf, 2.0]], [1.0, 2.0],
+                [[1.0, 2.0, 3.0]], np.ones((2, 2, 2)), []):
+        with pytest.raises(ValueError, match=r"\(n, 2\) array of finite values >= 0"):
+            forbes_incomes(bad)
 
 
 def test_find_scale_factor_min_alignment():
@@ -181,15 +207,6 @@ def test_fuse_derives_rule_based_factor():
     assert len(fused) == len(survey) + len(rich)
     for r in rich:
         assert any(abs(v - factor * r) < 1e-9 * factor * r for v in fused_set)
-
-
-def test_record_validation():
-    with pytest.raises(ValueError):
-        IncomeRecord(income=0.0)
-    with pytest.raises(ValueError):
-        IncomeRecord(income=float("nan"))
-    with pytest.raises(ValueError):
-        WealthPair(id="x", wealth_prev=-1.0, wealth_curr=2.0)
 
 
 @given(st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=200))

@@ -7,7 +7,6 @@ import pytest
 from incomedist import (
     ClassStats,
     DegenerateClassError,
-    IncomeRecord,
     ModelParams,
     ccdf_eval,
     class_fractions,
@@ -76,7 +75,6 @@ def test_degenerate_classes_raise():
 
 def test_gini_equal_incomes_zero():
     assert abs(gini([7.0] * 100)) < 1e-9
-    assert abs(gini([IncomeRecord(income=3.5)] * 10)) < 1e-9
 
 
 def test_gini_zero_and_x_is_fifty():

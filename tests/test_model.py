@@ -565,6 +565,27 @@ def test_single_exponent_law_matches_closed_form(k):
             assert ccdf_eval(params, m) == pytest.approx(exact(m), rel=rel, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [3.5, 1e3, 1e5])
+def test_normalization_contract_holds_inside_its_domain(k):
+    # the raw tail (c = 1) of the alpha = alpha1 = 1, T1 = T law is
+    # (m0/k) exp(-k atan(m/m0)) (-expm1(-k atan(m0/m))), k = m0/T, which
+    # float64 gives to ~1e-15.  The 1e-10 contract holds up to k ~ 2.5e5
+    # (README, Known limitations); these k gave 1.5e-15, 2e-13 and 2.5e-11
+    m0 = 1e5
+    T = m0 / k
+    params = normalize(ModelParams(T=T, T1=T, alpha=1.0, alpha1=1.0,
+                                   m0=m0, m1=2.0 * m0, m_init=0.01))
+
+    def raw(m):
+        return (m0 / k) * math.exp(-k * math.atan(m / m0)) * -math.expm1(-k * math.atan2(m0, m))
+
+    assert params.c_lo == pytest.approx(1.0 / raw(params.m_init), rel=1e-10, abs=0.0)
+    for f in (0.1, 1.0, 10.0, 30.0):
+        m = params.m_init + f * T
+        exact = raw(m) / raw(params.m_init)
+        assert ccdf_eval(params, m) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
 # ------------------------------------------------ refinement misfit
 
 
