@@ -367,7 +367,7 @@ def load_wealth_pairs(path) -> np.ndarray:
     Line 1 must be the header id,wealth_prev,wealth_curr.  Ids may be quoted;
     each is checked as a CSV field and dropped.  Blank rows are skipped, every
     wealth is a finite decimal >= 0, and a bad cell raises ParseError at its
-    row and column.  No rows warn (EmptyFileWarning) and give shape (0, 2).
+    line and column.  No rows warn (EmptyFileWarning) and give shape (0, 2).
     """
     expected = ["id", "wealth_prev", "wealth_curr"]
     values: list[float] = []
@@ -376,7 +376,8 @@ def load_wealth_pairs(path) -> np.ndarray:
         header = next(reader, None)
         if header is not None and [h.strip().lower() for h in header] != expected:
             raise ParseError(f"expected header {','.join(expected)}", 1)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the physical line: a quoted id may hold line breaks
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:

@@ -29,7 +29,9 @@ infinity with the fixed 21-point Gauss-Kronrod rule, every piece in one
 array pass: pieces are graded geometrically toward w = 0, which keeps the
 sin^(alpha1-1) endpoint singularity for alpha1 < 1 outside each of them, and
 the last stretch next to w = 0 is a short series.  Normalization, the
-scalar CCDF, the CCDF table and the fit's misfit are all calls to it.
+scalar and the bulk CCDF, the CCDF table, the fit's misfit and the
+quantile's bracket are all calls to it; the quantile's Newton steps run it
+between two nodes only, without the closing interval.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ _WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776
 _GK_X = np.concatenate((np.negative(_XK[:-1]), _XK[::-1]))
 _GK_W = np.column_stack((_WK, np.subtract(_WK, _WG)))[[*range(10), *range(10, -1, -1)]]
 _QUANTILE_RTOL = 1e-8
-# A quantile's bracketing pass: incomes m_init + T * _QUANTILE_RUNGS, from
-# 1.5e-5 T to 2e8 T, a factor sqrt(2) apart: one pass over 88 rungs costs
-# about as much as over one income, and the closer the rungs, the fewer
-# Newton steps from the start interpolated between them.
+# A law's quantile ladder (ModelParams._ladder): incomes m_init + T *
+# _QUANTILE_RUNGS, from 1.5e-5 T to 2e8 T, a factor sqrt(2) apart: one pass
+# over 88 rungs costs about as much as over one income, and the closer the
+# rungs, the fewer Newton steps from the start interpolated between them.
 _QUANTILE_RUNGS = 2.0 ** np.arange(-16.0, 28.0, 0.5)
 # The sampler's table edge: decades up from 10 m1 in one pass.
 _EDGE_DECADES = 24
@@ -171,6 +173,7 @@ class ModelParams:
     These seven fix the law.  Its branch constants c_lo and c_hi follow from
     continuity at m1 and normalization over [m_init, infinity); they are
     derived on first use, so dataclasses.replace gives a new law with its own.
+    So is the CCDF ladder that brackets its quantiles.
     """
 
     T: float
@@ -206,6 +209,11 @@ class ModelParams:
         if not (raw > 0.0 and math.isfinite(raw)):
             raise ValueError(f"normalization integral is not positive and finite: {raw}")
         return 1.0 / raw, ratio / raw
+
+    @cached_property
+    def _ladder(self) -> tuple[np.ndarray, np.ndarray]:
+        """The quantile's bracketing rungs m_init + T 2**(j/2) and their CCDF, from one engine pass."""
+        return _climb(self, self.m_init + self.T * _QUANTILE_RUNGS)
 
     @property
     def c_lo(self) -> float:
@@ -300,24 +308,29 @@ def _kronrod(f, lo, hi):
     return half * kg[:, 0], half * np.abs(kg[:, 1])
 
 
-def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
+def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bool = True):
     """Tail mass above each of the ascending incomes ms for branch constants c_lo, c_hi.
 
     Returns the masses and the summed |K21 - G10| estimate of their error,
     in the same units.  The nodes are ms plus m1 where it lies above ms[0],
     so no interval straddles the branch switch, and the last interval runs
-    to infinity.  Every interval runs in the tail width w = arctan(m0/m),
-    where the density is m0 c exp(k (w - pi/2)) sin(w)^(alpha'-1), k = m0/T'.
-    It is cut uniformly into parts with k dw <= 1, and each part is graded
-    geometrically, a factor of at most 2 in w per piece, so every piece
-    lies at least its own width away from the sin^(alpha'-1) singularity at
-    w = 0.  Each piece gets one K21 rule, all in one array pass; the pieces
-    are summed per interval and the intervals from the top.  The last
-    interval's remainder below _NEAR0 / max(k, 1) is a series, and so is an
-    interval past the float range in m/m0, where sin(w)^(alpha'-1) overflows.
+    to infinity.  With closed=False there is no interval to infinity: the
+    masses are those up to ms[-1], whose own is 0, and m1 is a node only
+    where it lies strictly between ms[0] and ms[-1]; every other interval
+    is cut into the same pieces.  Every interval runs in the tail width
+    w = arctan(m0/m), where the density is m0 c exp(k (w - pi/2))
+    sin(w)^(alpha'-1), k = m0/T'.  It is cut uniformly into parts with
+    k dw <= 1, and each part is graded geometrically, a factor of at most 2
+    in w per piece, so every piece lies at least its own width away from
+    the sin^(alpha'-1) singularity at w = 0.  Each piece gets one K21 rule,
+    all in one array pass; the pieces are summed per interval and the
+    intervals from the top.  The last interval's remainder below
+    _NEAR0 / max(k, 1) is a series, and so is an interval past the float
+    range in m/m0, where sin(w)^(alpha'-1) overflows.
     """
     ms = np.asarray(ms, dtype=float)
-    nodes = np.sort(np.concatenate((ms, [params.m1]))) if ms[0] < params.m1 else ms
+    inside = ms[0] < params.m1 and (closed or params.m1 < ms[-1])
+    nodes = np.sort(np.concatenate((ms, [params.m1]))) if inside else ms
     upper = nodes >= params.m1
     # no k below 1e-300 moves a digit of exp(k (w - pi/2)), and an underflowed
     # k = 0 would cut its intervals into no parts at all
@@ -325,7 +338,8 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
     alpha = np.where(upper, params.alpha1, params.alpha)
     w_hi = np.arctan2(params.m0, nodes)
     k1, a1 = params.m0 / params.T1, params.alpha1  # the last interval's branch
-    eps = min(_NEAR0 / max(k1, 1.0), float(w_hi[-1]))
+    # an open pass ends at the last node: its interval has width 0
+    eps = min(_NEAR0 / max(k1, 1.0), float(w_hi[-1])) if closed else float(w_hi[-1])
     w_lo = np.maximum(np.concatenate((w_hi[1:], [eps])), w_hi - _DECAY / k)
     n = np.ceil((w_hi - w_lo) * k).astype(int)
     part, rank = _split(n)
@@ -355,7 +369,8 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float):
         branch = float(c[i]), float(k[i]), float(alpha[i])
         mass[i] = _near0(*branch, float(w_hi[i])) - _near0(*branch, float(w_lo[i]))
         err[i] = 0.0
-    mass[-1] += _near0(c_hi, k1, a1, eps)
+    if closed:
+        mass[-1] += _near0(c_hi, k1, a1, eps)
     tail = np.cumsum(mass[::-1])[::-1]
     return params.m0 * tail[np.searchsorted(nodes, ms)], params.m0 * (c @ err)
 
@@ -426,16 +441,24 @@ def _table_grid(m_init: float, m1: float, m_hi: float, n_grid: int) -> np.ndarra
 
 
 def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
-    """Vectorized CCDF via a shared quadrature grid and log-log interpolation.
+    """CCDF at every income of ms (any shape), which it keeps.
 
-    Suitable for bulk evaluation (goodness-of-fit objectives, KS statistics);
-    interpolation error on the default grid is far below 1e-4 relative.
+    A request of at most n_grid distinct incomes is exact: one engine pass
+    over them, each value as accurate as a scalar ccdf_eval.  A larger one
+    (a KS statistic on a large sample) is interpolated log-log on the
+    n_grid-node ccdf_table up to its largest income, at an error of about
+    1e-5 relative on the default grid.
     """
     arr = np.asarray(ms, dtype=float)
     if arr.size == 0:
         return np.empty(0)
     if np.any(arr < params.m_init):
         raise ValueError("all incomes must be >= m_init")
+    nodes = np.unique(arr)  # NaN and inf sort last, and keep the table path's ValueError
+    if nodes.size <= n_grid and math.isfinite(nodes[-1]):
+        tail, _ = _ccdf_nodes(params, nodes, params.c_lo, params.c_hi)
+        return tail[np.searchsorted(nodes, arr)]
+    del nodes  # the table path keeps no sorted copy of a large request
     grid_m, grid_pi = ccdf_table(params, float(arr.max()) * (1.0 + 1e-12), n_grid)
     with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
         return np.exp(np.interp(np.log(arr), np.log(grid_m), np.log(grid_pi)))
@@ -494,28 +517,28 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     return misfit
 
 
-def _bracket(params: ModelParams, p: float, rungs):
-    """(lo, Pi(lo), hi, Pi(hi)): hi the first of the ascending rungs whose CCDF is <= p.
+def _climb(params: ModelParams, rungs):
+    """The ascending rungs, cut after the first at or past _EDGE_CAP, and their CCDF from one pass."""
+    rungs = np.asarray(rungs, dtype=float)
+    rungs = rungs[: np.searchsorted(rungs, _EDGE_CAP) + 1]
+    return rungs, _ccdf_nodes(params, rungs, params.c_lo, params.c_hi)[0]
 
-    One _ccdf_nodes pass over the rungs, cut after the first at or past
-    _EDGE_CAP.  Only when the top rung's CCDF is still above p does one more
-    pass run, over decades up from it (repeated products, as m *= 10 gives)
-    to the first at or past _EDGE_CAP; if that one is still above p, it is
-    hi.  lo is the rung below hi, or m_init, whose CCDF is 1.
+
+def _bracket(params: ModelParams, p: float, rungs, tails):
+    """(lo, Pi(lo), hi, Pi(hi)): hi the first of the rungs whose CCDF (tails, from _climb) is <= p.
+
+    Only when the top rung's CCDF is still above p does one more pass run,
+    over decades up from it (repeated products, as m *= 10 gives) to the
+    first at or past _EDGE_CAP; if that one is still above p, it is hi.  lo
+    is the rung below hi, or m_init, whose CCDF is 1.
     """
     lo, pi_lo = params.m_init, 1.0
-
-    def climb(rungs):
-        rungs = rungs[: np.searchsorted(rungs, _EDGE_CAP) + 1]
-        return rungs, _ccdf_nodes(params, rungs, params.c_lo, params.c_hi)[0]
-
-    rungs, tails = climb(np.asarray(rungs, dtype=float))
     if tails[-1] > p and rungs[-1] < _EDGE_CAP:
         lo, pi_lo = float(rungs[-1]), float(tails[-1])
         # a difference of logs: the quotient overflows below a top rung of
-        # ~5.6e-9; the spare decade covers its rounding, and climb cuts it off
+        # ~5.6e-9; the spare decade covers its rounding, and _climb cuts it off
         n = math.ceil(math.log10(_EDGE_CAP) - math.log10(rungs[-1])) + 2
-        rungs, tails = climb(np.cumprod(np.append(rungs[-1], np.full(n, 10.0)))[1:])
+        rungs, tails = _climb(params, np.cumprod(np.append(rungs[-1], np.full(n, 10.0)))[1:])
     i = min(int(np.count_nonzero(tails > p)), rungs.size - 1)
     if i:
         lo, pi_lo = float(rungs[i - 1]), float(tails[i - 1])
@@ -536,30 +559,37 @@ def _density(params: ModelParams, m):
 def quantile(params: ModelParams, q: float) -> float:
     """Income level m with P(income <= m) = q, by safeguarded Newton steps on the CCDF.
 
-    One CCDF pass over the incomes m_init + T 2**(j/2) brackets the root
-    (one more, by decades up to ~1e300, only for a tail beyond them), and
-    log-log interpolation between the two bracketing rungs gives the start.
-    Each step m += (CCDF(m) - (1 - q)) / P(m), with P the closed-form
-    density, costs one CCDF pass; a step that leaves the bracket, or an
-    underflowed P, bisects it instead.  The CCDF is convex, so every step
-    lands below the root and the steps close in from there.  The root is
-    found to relative tolerance 1e-8 in income, in about four passes in all.
-    A quantile beyond ~1e300 raises ValueError.
+    The law's CCDF at the incomes m_init + T 2**(j/2), one engine pass
+    derived on first use and kept on the law, brackets the root (one more
+    pass, by decades up to ~1e300, only for a tail beyond them), and log-log
+    interpolation between the two bracketing rungs gives the start.  Each
+    step m += (CCDF(m) - (1 - q)) / P(m), with P the closed-form density,
+    takes CCDF(m) as CCDF(hi) plus the mass on [m, hi], from a short engine
+    pass over that one interval; hi and CCDF(hi) follow the bracket down.  A
+    step that leaves the bracket, or an underflowed P, bisects it instead.
+    The CCDF is convex, so every step lands below the root and the steps
+    close in from there.  The root is found to relative tolerance 1e-8 in
+    income, in a few interval passes.  A quantile beyond ~1e300 raises
+    ValueError.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     target = 1.0 - q
     if target >= 1.0:  # the CCDF is 1 at m_init by normalization
         return params.m_init
-    lo, pi_lo, hi, pi_hi = _bracket(params, target, params.m_init + params.T * _QUANTILE_RUNGS)
+    lo, pi_lo, hi, pi_hi = _bracket(params, target, *params._ladder)
     if pi_hi > target:
         raise ValueError(f"the {q} quantile lies beyond the float range (above {hi:.3g})")
     # the start: log-log interpolation between the bracketing rungs
     s = (math.log(pi_lo) - math.log(target)) / (math.log(pi_lo) - math.log(pi_hi)) if pi_hi > 0.0 else 0.5
     m = lo * (hi / lo) ** s
     for _ in range(100):
-        excess = float(_ccdf_nodes(params, [m], params.c_lo, params.c_hi)[0][0]) - target
-        lo, hi = (m, hi) if excess > 0.0 else (lo, m)
+        pi_m = pi_hi + float(_ccdf_nodes(params, [m, hi], params.c_lo, params.c_hi, closed=False)[0][0])
+        excess = pi_m - target
+        if excess > 0.0:
+            lo = m
+        else:
+            hi, pi_hi = m, pi_m
         dens = float(_density(params, m))
         step = excess / dens if dens > 0.0 else math.inf
         if lo <= m + step <= hi and abs(step) <= _QUANTILE_RTOL * m:
@@ -587,7 +617,8 @@ def sample_incomes(params: ModelParams, n: int, seed=None) -> np.ndarray:
         raise ValueError("n must be positive")
     p_floor = max(1e-12, 1e-3 / n)
     decades = np.cumprod(np.append(10.0 * params.m1, np.full(_EDGE_DECADES - 1, 10.0)))
-    grid_m, grid_pi = ccdf_table(params, _bracket(params, p_floor, decades)[2], n_grid=4000)
+    edge = _bracket(params, p_floor, *_climb(params, decades))[2]
+    grid_m, grid_pi = ccdf_table(params, edge, n_grid=4000)
     log_pi = np.log(grid_pi[::-1])
     log_m = np.log(grid_m[::-1])
     targets = 1.0 - np.random.default_rng(seed).random(n)

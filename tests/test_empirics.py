@@ -142,6 +142,15 @@ def test_load_wealth_pairs_reads_a_quoted_id_holding_a_comma(tmp_path):
     assert load_wealth_pairs(path).tolist() == [[1.0, 3.5], [0.0, 2.0]]
 
 
+def test_load_wealth_pairs_numbers_physical_lines(tmp_path):
+    # the quoted id on lines 2-3 holds a line break: the bad cell x is on line 4
+    path = tmp_path / "w.csv"
+    path.write_text('id,wealth_prev,wealth_curr\n"a\nb",1,2\nc,1,x\n', encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_wealth_pairs(path)
+    assert (err.value.line, err.value.column) == (4, 3)
+
+
 @pytest.mark.parametrize("text", ["", "id,wealth_prev,wealth_curr\n",
                                   "id,wealth_prev,wealth_curr\n\n"])
 def test_wealth_file_without_rows_gives_no_pairs(tmp_path, text):

@@ -143,6 +143,54 @@ def test_ccdf_eval_many_matches_scalar(params08):
     assert np.max(np.abs(bulk / scalar - 1.0)) < 5e-5
 
 
+def test_ccdf_eval_many_on_the_table_matches_scalar(params08):
+    # 2,500 distinct incomes: more than the 2,000-node grid, so interpolated
+    ms = np.geomspace(params08.m_init * 5, 50 * params08.m1, 2500)
+    bulk = ccdf_eval_many(params08, ms)
+    picks = ms[::97]
+    scalar = np.array([ccdf_eval(params08, m) for m in picks])
+    assert np.max(np.abs(bulk[::97] / scalar - 1.0)) < 5e-5
+
+
+def _table_and_interp(params, ms, n_grid):
+    """ccdf_eval_many's table path spelled out: the ccdf_table grid up to the largest income, log-log."""
+    arr = np.asarray(ms, dtype=float)
+    grid_m, grid_pi = ccdf_table(params, float(arr.max()) * (1.0 + 1e-12), n_grid)
+    return np.exp(np.interp(np.log(arr), np.log(grid_m), np.log(grid_pi)))
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_ccdf_eval_many_is_exact_up_to_n_grid_distinct_incomes(year):
+    params = preset_params(year)
+    rng = np.random.default_rng(4)
+    picks = np.geomspace(params.m_init, 1e3 * params.m1, 40)
+    ms = np.concatenate([picks, picks[5:15], [params.m_init, params.m1, params.m1, params.m0]])
+    rng.shuffle(ms)  # unsorted, with duplicates, m_init and m1 among them
+    scalar = np.array([ccdf_eval(params, m) for m in ms])
+    got = ccdf_eval_many(params, ms)
+    np.testing.assert_allclose(got, scalar, rtol=1e-13, atol=0.0)
+    square = ms[:48].reshape(6, 8)  # the shape is kept
+    got2 = ccdf_eval_many(params, square)
+    assert got2.shape == (6, 8)
+    np.testing.assert_allclose(got2, scalar[:48].reshape(6, 8), rtol=1e-13, atol=0.0)
+    # exactly n_grid distinct incomes, each twice, still take the exact pass
+    grid = np.geomspace(params.m_init, 100 * params.m1, 60)
+    got3 = ccdf_eval_many(params, np.concatenate([grid, grid[::-1]]), n_grid=60)
+    exact = np.array([ccdf_eval(params, m) for m in grid])
+    np.testing.assert_allclose(got3, np.concatenate([exact, exact[::-1]]), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_ccdf_eval_many_above_n_grid_keeps_the_table(year):
+    params = preset_params(year)
+    grid = np.geomspace(params.m_init, 100 * params.m1, 61)
+    ms = np.concatenate([grid, grid[:30]])  # 61 distinct incomes on a 60-node grid
+    got = ccdf_eval_many(params, ms, n_grid=60)
+    assert got.tobytes() == _table_and_interp(params, ms, 60).tobytes()
+    big = sample_incomes(params, 3000, seed=11)
+    assert ccdf_eval_many(params, big).tobytes() == _table_and_interp(params, big, 2000).tobytes()
+
+
 def test_ccdf_table_monotone(params08):
     grid_m, grid_pi = ccdf_table(params08, 1e9)
     assert grid_m[0] == params08.m_init
@@ -242,15 +290,78 @@ def test_quantile_solves_the_ccdf_property(params, qa, qb):
         assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
 
 
+def _spy_on_engine(monkeypatch):
+    """Record (ms, closed) for every _ccdf_nodes pass, forwarding every argument."""
+    calls = []
+
+    def spy(params, ms, *args, **kwargs):
+        calls.append((np.asarray(ms, dtype=float).copy(), kwargs.get("closed", True)))
+        return _ccdf_nodes(params, ms, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_ccdf_nodes", spy)
+    return calls
+
+
 @pytest.mark.parametrize("year", ["2008", "2006"])
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99, 0.9999])  # the last lies above m1
 def test_quantile_takes_at_most_five_passes(year, q, monkeypatch):
     params = preset_params(year)
-    calls = []
-    monkeypatch.setattr(model, "_ccdf_nodes", lambda *args: calls.append(args[1]) or _ccdf_nodes(*args))
+    calls = _spy_on_engine(monkeypatch)
     m = quantile(params, q)
     assert 1 <= len(calls) <= 5
     assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_quantiles_of_one_law_share_one_ladder_pass(year, monkeypatch):
+    params = normalize(ModelParams(**PRESETS[year]))
+    calls = _spy_on_engine(monkeypatch)
+    first = quantile(params, 0.5)
+    ladder = [ms for ms, closed in calls if closed]
+    assert len(ladder) == 1 and ladder[0].size > 2
+    del calls[:]
+    for q in (0.1, 0.9, 0.99, 0.9999):
+        quantile(params, q)
+    assert calls and all(not closed for _, closed in calls)  # no second ladder
+    assert quantile(params, 0.5) == first
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.1, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-9])
+def test_newton_steps_integrate_no_closing_interval(params08, q, monkeypatch):
+    # alpha1 = 0.2: the last two levels lie past the ladder, in the decades pass
+    for params in (params08, _with_alpha1(params08, 0.2)):
+        params._ladder  # derived before the spy: every pass it sees is the quantile's own
+        calls = _spy_on_engine(monkeypatch)
+        m = quantile(params, q)
+        brackets = [ms for ms, closed in calls if closed]
+        steps = [ms for ms, closed in calls if not closed]
+        assert steps and len(brackets) <= 1
+        for ms in brackets:  # only the decades above the ladder run to infinity
+            assert ms.size > 2 and ms[0] > params._ladder[0][-1]
+        for ms in steps:  # one interval [m, hi]
+            assert ms.size == 2 and params.m_init <= ms[0] <= ms[1] < model._EDGE_CAP
+        assert abs(ccdf_eval(params, m) - (1.0 - q)) <= 1e-8 * m * pdf_eval(params, m) + 1e-8 * (1.0 - q)
+
+
+def test_open_pass_is_the_full_pass_without_its_closing_interval(params08):
+    m1 = params08.m1  # 4e5: below, a node, inside, at either end, above
+    for ms in ([1e4, 3e4], [1e5, m1, 4e6], [2e5, 9e5, 3e8], [5e4, m1], [m1, 1e9], [5e5, 2e6]):
+        closed, _ = _ccdf_nodes(params08, ms, params08.c_lo, params08.c_hi)
+        open_, _ = _ccdf_nodes(params08, ms, params08.c_lo, params08.c_hi, closed=False)
+        assert open_[-1] == 0.0
+        np.testing.assert_allclose(open_ + closed[-1], closed, rtol=1e-13, atol=0.0)
+
+
+def test_replace_gives_a_law_with_its_own_ladder(params08):
+    quantile(params08, 0.5)
+    rungs, tails = params08._ladder
+    other = replace(params08, T=2e4)
+    assert "_ladder" not in vars(other)
+    assert quantile(other, 0.5) == pytest.approx(_brent_quantile(other, 0.5), rel=1e-8, abs=0.0)
+    o_rungs, o_tails = other._ladder
+    assert not np.array_equal(o_rungs, rungs) and not np.array_equal(o_tails, tails)
+    assert np.array_equal(o_rungs, other.m_init + other.T * model._QUANTILE_RUNGS)
+    assert params08._ladder[0] is rungs  # the original keeps its own
 
 
 def _reference_sample(params, n, seed):
