@@ -23,20 +23,20 @@ All integrals are computed in the tail width w = arctan(m0/m), which maps
 [m, infinity) onto (0, arctan(m0/m)] and turns the density into
 m0 * c * exp(-(m0/T') (pi/2 - w)) * sin(w)^(a'-1), removing both the infinite
 domain and the heavy tail; w is computed directly, so no difference of
-nearly equal angles is formed at large incomes.  One evaluator integrates
-the intervals between ascending income nodes plus a closing interval to
-infinity with the fixed 21-point Gauss-Kronrod rule, every piece in one
-array pass: pieces are graded geometrically toward w = 0, which keeps the
-sin^(alpha1-1) endpoint singularity for alpha1 < 1 outside each of them, and
-the last stretch next to w = 0 is a short series.  Normalization, the
-scalar and the bulk CCDF, the CCDF table, the fit's misfit and the
-quantile's bracket are all calls to it; the quantile's Newton steps run it
-between two nodes only, without the closing interval.
+nearly equal angles is formed at large incomes.  A law's incomes run from
+m_init to m0 / (the smallest normal float), where w is still normal.  One
+evaluator integrates the intervals between ascending income nodes plus a
+closing interval to infinity with the fixed 21-point Gauss-Kronrod rule,
+every piece in one array pass: pieces are graded geometrically toward
+w = 0, which keeps the sin^(alpha1-1) endpoint singularity for alpha1 < 1
+outside each of them, and the last stretch next to w = 0 is a short
+series.  Normalization, the scalar and the bulk CCDF, the CCDF table, the
+fit's misfit and the quantile's bracket are all calls to it, and the
+quantile's Newton steps run it between two nodes, without the closing one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -71,7 +71,7 @@ _DECAY = 100.0
 # Below w = _NEAR0 / max(k, 1) the tail integral is a three-term series,
 # exact to rounding there (the next term is below (k w)^3 / 6 relative).
 _NEAR0 = 1e-5
-_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # smallest normal, largest
 # QUADPACK's QK21 pair (Piessens et al. 1983): the 21 Kronrod nodes on
 # [-1, 1], and as two columns the Kronrod weights and the Kronrod weights
 # minus those of the embedded 10-point Gauss rule (its nodes are the odd
@@ -100,8 +100,8 @@ _QUANTILE_RTOL = 1e-8
 _QUANTILE_RUNGS = 2.0 ** np.arange(-16.0, 28.0, 0.5)
 # The sampler's table edge: decades up from 10 m1 in one pass.
 _EDGE_DECADES = 24
-# Incomes searched for quantiles and table edges stop here: a tail with
-# alpha1 of a few hundredths holds mass beyond the float range.
+# Incomes searched for quantiles and table edges stop here, or at _top below
+# it: a tail with alpha1 of a few hundredths holds mass beyond the float range.
 _EDGE_CAP = 1e300
 
 
@@ -204,11 +204,14 @@ class ModelParams:
         if self.alpha1 <= 0.0:  # sin(w)^(alpha1 - 1) is not integrable at w = 0
             raise TailDivergenceError(f"tail mass diverges for alpha1 <= 0 (got alpha1={self.alpha1})")
         ratio = continuity_ratio(self)
+        _incomes(self, self.m1, "m1")  # a node of the pass below
         tail, _ = _ccdf_nodes(self, [self.m_init], 1.0, ratio)
         raw = float(tail[0])
-        if not (raw > 0.0 and math.isfinite(raw)):
-            raise ValueError(f"normalization integral is not positive and finite: {raw}")
-        return 1.0 / raw, ratio / raw
+        c_lo, c_hi = (1.0 / raw, ratio / raw) if raw > 0.0 else (math.inf, math.inf)
+        if not (0.0 < c_lo < math.inf and c_hi < math.inf):  # c_hi may underflow to 0
+            raise ValueError(f"normalization integral {raw:.6g} puts c_lo = {c_lo:.6g} or c_hi = {c_hi:.6g} "
+                             "out of the float range")
+        return c_lo, c_hi
 
     @cached_property
     def _ladder(self) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +328,8 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     the sin^(alpha'-1) singularity at w = 0.  Each piece gets one K21 rule,
     all in one array pass; the pieces are summed per interval and the
     intervals from the top.  The last interval's remainder below
-    _NEAR0 / max(k, 1) is a series, and so is an interval past the float
-    range in m/m0, where sin(w)^(alpha'-1) overflows.
+    _NEAR0 / max(k, 1) is a series.  Every node lies in the law's domain
+    (_incomes), so no piece lies below _TINY.
     """
     ms = np.asarray(ms, dtype=float)
     inside = ms[0] < params.m1 and (closed or params.m1 < ms[-1])
@@ -339,9 +342,10 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     w_hi = np.arctan2(params.m0, nodes)
     k1, a1 = params.m0 / params.T1, params.alpha1  # the last interval's branch
     # an open pass ends at the last node: its interval has width 0
-    eps = min(_NEAR0 / max(k1, 1.0), float(w_hi[-1])) if closed else float(w_hi[-1])
+    eps = min(max(_NEAR0 / max(k1, 1.0), _TINY), float(w_hi[-1])) if closed else float(w_hi[-1])
     w_lo = np.maximum(np.concatenate((w_hi[1:], [eps])), w_hi - _DECAY / k)
-    n = np.ceil((w_hi - w_lo) * k).astype(int)
+    # one part at least, also where k dw underflows to 0; a part of width 0 has no pieces
+    n = np.maximum(np.ceil((w_hi - w_lo) * k), 1.0).astype(int)
     part, rank = _split(n)
     step = (w_hi - w_lo)[part] / n[part]
     w_a = w_lo[part] + step * rank
@@ -353,34 +357,18 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     owner = part[piece]
     kw = k[owner, None]
     pw = alpha[owner, None] - 1.0
-    # every piece lies above eps, where sin(w)^(a-1) <= pi/(2 w): only an eps
-    # below the normal range (m/m0 past the float range) lets a piece overflow
-    far = eps < _TINY
-    with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
-        # exp(-k pi/2) stays inside the exponent: split off, exp(k w) would
-        # overflow once k w exceeds ~709 even where the integrand itself is tiny
-        mass, err = _kronrod(lambda w: np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw, lo, hi)
+    # every piece lies above eps >= _TINY, where sin(w)^(a-1) <= pi/(2 w) is
+    # finite; exp(-k pi/2) stays inside the exponent: split off, exp(k w) would
+    # overflow once k w exceeds ~709 even where the integrand itself is tiny
+    mass, err = _kronrod(lambda w: np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw, lo, hi)
     c = np.where(upper, c_hi, c_lo)
     mass = c * np.bincount(owner, mass, nodes.size)
     err = np.bincount(owner, err, nodes.size)
-    # an interval that overflowed lies wholly below the series cut, where the
-    # series gives its mass
-    for i in np.flatnonzero(~np.isfinite(mass)).tolist() if far else ():
-        branch = float(c[i]), float(k[i]), float(alpha[i])
-        mass[i] = _near0(*branch, float(w_hi[i])) - _near0(*branch, float(w_lo[i]))
-        err[i] = 0.0
-    if closed:
-        mass[-1] += _near0(c_hi, k1, a1, eps)
+    if closed:  # series on [0, eps]: exp(k w) sin(w)^(a-1) = w^(a-1) (1 + k w + (k^2/2 - (a-1)/6) w^2 ...)
+        mass[-1] += c_hi * math.exp(-k1 * _HALF_PI) * eps**a1 * (
+            1.0 / a1 + k1 * eps / (a1 + 1.0) + (0.5 * k1 * k1 - (a1 - 1.0) / 6.0) * eps * eps / (a1 + 2.0))
     tail = np.cumsum(mass[::-1])[::-1]
     return params.m0 * tail[np.searchsorted(nodes, ms)], params.m0 * (c @ err)
-
-
-def _near0(c: float, k: float, a: float, w: float) -> float:
-    """c times the tail integral over [0, w] of exp(k (w' - pi/2)) sin(w')^(a-1), for w below the series cut."""
-    # exp(k w) sin(w)^(a-1) = w^(a-1) (1 + k w + (k^2/2 - (a-1)/6) w^2 + ...) on [0, w]
-    return c * math.exp(-k * _HALF_PI) * w**a * (
-        1.0 / a + k * w / (a + 1.0) + (0.5 * k * k - (a - 1.0) / 6.0) * w * w / (a + 2.0)
-    )
 
 
 def normalize(params: ModelParams) -> ModelParams:
@@ -388,11 +376,28 @@ def normalize(params: ModelParams) -> ModelParams:
 
     A law that cannot be normalized fails here rather than at its first
     evaluation: TailDivergenceError for alpha1 <= 0, where the raw tail
-    carries infinite probability mass, and ValueError for a continuity ratio
-    or a normalization integral out of the float range.
+    carries infinite probability mass, and ValueError for an m1 past _top,
+    or a continuity ratio, normalization integral or c_hi out of the floats.
     """
     params._constants  # derived once, kept on the law
     return params
+
+
+def _top(params: ModelParams) -> float:
+    """The law's largest income m0 / _TINY, or the largest float: past it arctan(m0/m) is subnormal."""
+    return min(float(params.m0) / _TINY, _HUGE)
+
+
+def _incomes(params: ModelParams, m, name: str = "m") -> np.ndarray:
+    """m as a float array, or a ValueError unless it lies in the law's domain [m_init, _top].
+
+    A subnormal tail width carries too few bits for the 1e-8 tail contract.
+    """
+    arr = np.asarray(m, dtype=float)
+    lo, hi = (arr.min(initial=math.inf), arr.max(initial=-math.inf)) if arr.ndim else (float(arr),) * 2
+    if not (lo >= params.m_init and hi <= _top(params)):
+        raise ValueError(f"{name} must lie in [m_init, m0/tiny] = [{params.m_init:.6g}, {_top(params):.6g}]")
+    return arr
 
 
 def pdf_eval(params: ModelParams, m):
@@ -402,18 +407,14 @@ def pdf_eval(params: ModelParams, m):
     analytic continuity ratio makes the two branch formulas agree at m1.
     Each branch takes hypot(1, m/m0), so far-tail incomes do not overflow.
     """
-    arr = np.asarray(m, dtype=float)
-    if np.any(arr < params.m_init):
-        raise ValueError("m must be >= m_init")
+    arr = _incomes(params, m)
     out = _density(params, arr)
     return float(out) if arr.ndim == 0 else out
 
 
 def ccdf_eval(params: ModelParams, m: float) -> float:
     """Tail probability P(income > m), by quadrature in the tail width arctan(m0/m)."""
-    if m < params.m_init:
-        raise ValueError(f"m must be >= m_init, got {m}")
-    tail, _ = _ccdf_nodes(params, [m], params.c_lo, params.c_hi)
+    tail, _ = _ccdf_nodes(params, _incomes(params, m).reshape(1), params.c_lo, params.c_hi)
     return float(tail[0])
 
 
@@ -426,8 +427,7 @@ def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
     one array pass, so each value is as accurate as a scalar ccdf_eval; m1 is
     inserted as a node so no interval straddles the branch switch.
     """
-    if not m_hi > params.m_init:
-        raise ValueError("m_hi must exceed m_init")
+    _incomes(params, m_hi, "m_hi")
     ms = _table_grid(params.m_init, params.m1, m_hi, n_grid)
     tail, _ = _ccdf_nodes(params, ms, params.c_lo, params.c_hi)
     return ms, tail
@@ -449,17 +449,15 @@ def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
     n_grid-node ccdf_table up to its largest income, at an error of about
     1e-5 relative on the default grid.
     """
-    arr = np.asarray(ms, dtype=float)
+    arr = _incomes(params, ms, "ms")
     if arr.size == 0:
         return np.empty(0)
-    if np.any(arr < params.m_init):
-        raise ValueError("all incomes must be >= m_init")
-    nodes = np.unique(arr)  # NaN and inf sort last, and keep the table path's ValueError
-    if nodes.size <= n_grid and math.isfinite(nodes[-1]):
+    nodes = np.unique(arr)
+    if nodes.size <= n_grid:
         tail, _ = _ccdf_nodes(params, nodes, params.c_lo, params.c_hi)
         return tail[np.searchsorted(nodes, arr)]
     del nodes  # the table path keeps no sorted copy of a large request
-    grid_m, grid_pi = ccdf_table(params, float(arr.max()) * (1.0 + 1e-12), n_grid)
+    grid_m, grid_pi = ccdf_table(params, min(float(arr.max()) * (1.0 + 1e-12), _top(params)), n_grid)
     with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
         return np.exp(np.interp(np.log(arr), np.log(grid_m), np.log(grid_pi)))
 
@@ -475,8 +473,8 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     log(tails[0]) from one _ccdf_nodes pass with c_lo = 1 and c_hi the
     continuity ratio never derives the trial point's constants: a call is
     one engine pass and O(grid) arithmetic.  Its rounding floor is ~1e-16
-    sum(log_p^2); a tail that underflows on the grid, or a zero or infinite
-    integral, gives inf.
+    sum(log_p^2); a tail that underflows on the grid, a zero or infinite
+    integral, or a law whose domain ends below the grid's top or m1, gives inf.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
@@ -506,6 +504,8 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     c = float(log_p @ log_p)
 
     def misfit(params: ModelParams) -> float:
+        if max(m_hi, m1) > _top(params):
+            return math.inf
         tails, _ = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params))
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.log(tails)
@@ -518,9 +518,9 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
 
 
 def _climb(params: ModelParams, rungs):
-    """The ascending rungs, cut after the first at or past _EDGE_CAP, and their CCDF from one pass."""
-    rungs = np.asarray(rungs, dtype=float)
-    rungs = rungs[: np.searchsorted(rungs, _EDGE_CAP) + 1]
+    """The ascending rungs, none past _top, cut after the first at or past _EDGE_CAP, and their CCDF."""
+    rungs = np.minimum(rungs, _top(params))
+    rungs = rungs[: np.searchsorted(rungs, min(_EDGE_CAP, _top(params))) + 1]
     return rungs, _ccdf_nodes(params, rungs, params.c_lo, params.c_hi)[0]
 
 
@@ -529,11 +529,11 @@ def _bracket(params: ModelParams, p: float, rungs, tails):
 
     Only when the top rung's CCDF is still above p does one more pass run,
     over decades up from it (repeated products, as m *= 10 gives) to the
-    first at or past _EDGE_CAP; if that one is still above p, it is hi.  lo
-    is the rung below hi, or m_init, whose CCDF is 1.
+    first at or past _EDGE_CAP or at _top; if that one is still above p, it
+    is hi.  lo is the rung below hi, or m_init, whose CCDF is 1.
     """
     lo, pi_lo = params.m_init, 1.0
-    if tails[-1] > p and rungs[-1] < _EDGE_CAP:
+    if tails[-1] > p and rungs[-1] < min(_EDGE_CAP, _top(params)):
         lo, pi_lo = float(rungs[-1]), float(tails[-1])
         # a difference of logs: the quotient overflows below a top rung of
         # ~5.6e-9; the spare decade covers its rounding, and _climb cuts it off
@@ -547,8 +547,7 @@ def _bracket(params: ModelParams, p: float, rungs, tails):
 
 def _density(params: ModelParams, m):
     """pdf_eval at incomes m >= m_init, unchecked; the quantile's Newton steps call it too."""
-    with np.errstate(over="ignore"):  # m/m0 beyond the float range: the density is 0 there
-        x = np.divide(m, params.m0)
+    x = np.divide(m, params.m0)  # at most 1 / _TINY inside the law's domain
     # hypot(1, x) in place of sqrt(1 + x^2), which overflows beyond ~1e154 m0
     u, h = np.arctan(x), np.hypot(1.0, x)
     lower = params.c_lo * np.exp(-(params.m0 / params.T) * u) * h ** -(params.alpha + 1.0)
@@ -569,8 +568,8 @@ def quantile(params: ModelParams, q: float) -> float:
     step that leaves the bracket, or an underflowed P, bisects it instead.
     The CCDF is convex, so every step lands below the root and the steps
     close in from there.  The root is found to relative tolerance 1e-8 in
-    income, in a few interval passes.  A quantile beyond ~1e300 raises
-    ValueError.
+    income, in a few interval passes.  A quantile beyond ~1e300, or past
+    the law's top income (_top), raises ValueError.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
@@ -609,9 +608,9 @@ def sample_incomes(params: ModelParams, n: int, seed=None) -> np.ndarray:
 
     The table extends until the tail probability drops below ~1e-3/n, so the
     chance of any draw being clipped at the table edge is negligible.  The
-    edge stops at ~1e300: a tail with alpha1 of a few hundredths holds mass
-    beyond the float range, and those draws clip to the edge.  seed is
-    anything np.random.default_rng takes, a Generator included.
+    edge stops at ~1e300 or at the law's top income (_top): a tail with
+    alpha1 of a few hundredths holds mass beyond it, and those draws clip
+    to the edge.  seed is anything np.random.default_rng takes.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -623,7 +622,8 @@ def sample_incomes(params: ModelParams, n: int, seed=None) -> np.ndarray:
     log_m = np.log(grid_m[::-1])
     targets = 1.0 - np.random.default_rng(seed).random(n)
     targets = np.clip(targets, grid_pi[-1], 1.0)
-    return np.exp(np.interp(np.log(targets), log_pi, log_m))
+    draws = np.interp(np.log(targets), log_pi, log_m)
+    return np.minimum(np.exp(draws, out=draws), grid_m[-1], out=draws)  # exp(log(edge)) may round past it
 
 
 def coeffs_to_effective(coeffs: LangevinCoeffs, m1: float, m_init: float) -> ModelParams:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from incomedist import EmpiricalCCDF, ccdf_table, normalize, preset_params, rank_ccdf
+from incomedist import EmpiricalCCDF, ccdf_table, model, normalize, preset_params, rank_ccdf
 
 settings.register_profile(
     "ci",
@@ -10,6 +12,39 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+# Laws at the far end of the validated domain, from fuzzes over the ranges of
+# the CLI property (test_cli._accepted_params).  FAR's median lies inside the
+# float range; those of DROPPED and UNDERFLOW lie beyond the domain's top,
+# m0 / (smallest normal float); C_HI_OVERFLOW cannot be normalized.
+FAR = dict(T=1e-17, T1=1e-17, alpha=1.0, alpha1=0.01, m0=1e-17, m1=1e-16, m_init=1e-18)
+# k1 = m0/T1 ~ 1.5e-88: far out, k dw underflowed to 0 and a pass dropped the interval
+DROPPED = dict(T=1.377448655841592e-58, T1=1.1899384894629924e26, alpha=0.03815610677132633,
+               alpha1=0.0007869014546714017, m0=1.8283682529941219e-62, m1=6.764808071696754e-57,
+               m_init=6.29464347371198e-66)
+# the tail width arctan(m0/m) underflowed to 0 in the quantile's decades climb
+UNDERFLOW = dict(T=0.001418465287965617, T1=1.2997503623843377e-29, alpha=8.880226126181575e-05,
+                 alpha1=2.276207664415113e-06, m0=3.720180174306223e-28, m1=1.1966134710608746e-26,
+                 m_init=4.9016890491871317e-29)
+# c_hi = continuity ratio / normalization integral overflows to inf
+C_HI_OVERFLOW = dict(T=35907.32257157631, T1=0.04852822822820377, alpha=7.482657657659162e-06,
+                     alpha1=90.50983225139966, m0=3.2549532645571036e-72, m1=1.7073356268773555e-69,
+                     m_init=4.973229696596593e-76)
+
+
+@pytest.fixture
+def normal_pieces(monkeypatch):
+    """Spy on the engine's K21 rule: every piece of the test lies at or above the smallest normal float."""
+    lows, kronrod = [], model._kronrod
+
+    def spy(f, lo, hi):
+        lows.append(float(lo.min(initial=math.inf)))
+        return kronrod(f, lo, hi)
+
+    monkeypatch.setattr(model, "_kronrod", spy)
+    yield lows
+    assert lows and min(lows) >= model._TINY
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import incomedist
-from conftest import noiseless_ccdf
+from conftest import C_HI_OVERFLOW, DROPPED, FAR, UNDERFLOW, noiseless_ccdf
 from incomedist import (
     ClassStats,
     EmpiricalCCDF,
@@ -30,11 +30,14 @@ from incomedist import (
     SimConfig,
     ccdf_eval,
     ccdf_eval_many,
+    class_fractions,
     effective_to_coeffs,
     forbes_incomes,
     fuse,
     load_incomes,
     load_wealth_pairs,
+    median_income,
+    normalize,
     preset_params,
     run_ensemble,
 )
@@ -629,7 +632,7 @@ def test_stats_and_eval_never_exit_1(tmp_path_factory, obj):
         assert code == 0 or err.getvalue().startswith(f"error: {argv[0]}:")
 
 
-def test_stats_of_a_tail_past_the_float_range(tmp_path):
+def test_stats_of_a_tail_past_the_float_range(tmp_path, normal_pieces):
     # m/m0 passes the float range below the quantile's decade climb to 1e300:
     # sin(w)^(alpha1 - 1) overflowed there, every tail below read inf, and
     # stats exited 2 with numpy's "negative dimensions are not allowed"
@@ -641,3 +644,35 @@ def test_stats_of_a_tail_past_the_float_range(tmp_path):
         assert main(["stats", "--params", str(pfile), "--output", str(out), "--quiet"]) == 0
     median = json.loads(out.read_text(encoding="utf-8"))["median"]
     assert ccdf_eval(ModelParams(**raw), median) == pytest.approx(0.5, abs=1e-8)
+
+
+@settings(max_examples=30)
+@given(_accepted_params())
+@example(DROPPED)  # its median read 2.6e-50, where the CCDF is 0.9746
+@example(UNDERFLOW)
+@example(C_HI_OVERFLOW)  # its class fractions read NaN
+@example(FAR)
+def test_every_accepted_law_has_a_true_median_or_a_value_error(obj):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            params = normalize(ModelParams(**obj))
+            fractions = class_fractions(params)
+            median = median_income(params)
+        except ValueError:
+            return
+        assert all(math.isfinite(f) for f in fractions)
+        assert abs(ccdf_eval(params, median) - 0.5) <= 1e-6
+
+
+@pytest.mark.parametrize("raw, message", [(DROPPED, "beyond the float range"),
+                                          (UNDERFLOW, "beyond the float range"), (C_HI_OVERFLOW, "c_hi")])
+def test_stats_of_a_law_past_the_domain_exits_2(tmp_path, capsys, raw, message):
+    # DROPPED exited 0 with a false median, UNDERFLOW exited 2 with numpy's
+    # "repeats may not contain negative values", C_HI_OVERFLOW exited 0 with NaN
+    pfile = tmp_path / "law.json"
+    _write(pfile, json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stats", "--params", str(pfile), "--output", str(tmp_path / "s.json"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err

@@ -33,7 +33,7 @@ from incomedist import (
 from incomedist import model
 from incomedist.model import _ccdf_nodes, _log_ccdf_misfit
 
-from conftest import direct_misfit, noiseless_ccdf
+from conftest import C_HI_OVERFLOW, DROPPED, FAR, UNDERFLOW, direct_misfit, noiseless_ccdf
 
 # Frozen two-branch constants for the bundled parameter sets, computed once
 # against a 50-digit arbitrary-precision quadrature of the same integrals.
@@ -250,6 +250,91 @@ def test_quantile_beyond_float_range_is_value_error(params08):
     params = _with_alpha1(params08, 0.01)
     with pytest.raises(ValueError, match="beyond the float range"):
         quantile(params, 1.0 - 1e-9)
+
+
+_DOMAIN_QUERIES = {
+    "pdf_eval": pdf_eval,
+    "ccdf_eval": ccdf_eval,
+    "ccdf_eval_many": lambda params, m: ccdf_eval_many(params, [params.m1, m]),
+    "ccdf_table": ccdf_table,
+}
+
+
+@pytest.mark.parametrize("query", list(_DOMAIN_QUERIES))
+@pytest.mark.parametrize("where", ["nan", "inf", "-inf", "below m_init", "past the top"])
+def test_incomes_outside_the_domain_raise_one_value_error(query, where):
+    # NaN gave a RuntimeWarning and numpy's "negative dimensions", and
+    # ccdf_eval_many([m1, inf]) crashed; pdf_eval and ccdf_eval read 0 at inf
+    params = normalize(ModelParams(**FAR))
+    m = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "below m_init": 0.5 * params.m_init,
+         "past the top": 2.0 * params.m0 / model._TINY}[where]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"must lie in \[m_init, m0/tiny\] = \[1e-18, 4\.49423e\+290\]"):
+            _DOMAIN_QUERIES[query](params, m)
+
+
+def test_the_domain_top_is_an_income(normal_pieces):
+    params = normalize(ModelParams(**FAR))
+    top = model._top(params)
+    assert math.atan2(params.m0, top) == model._TINY
+    assert model._top(preset_params("2008")) == np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = ccdf_eval(params, top)
+        assert 0.0 < tail < ccdf_eval(params, 1e-3 * top)
+        assert ccdf_eval_many(params, [params.m1, top])[1] == pytest.approx(tail, rel=1e-13)
+        # more than n_grid distinct incomes: the table's top may not pass the domain's
+        assert ccdf_eval_many(params, np.geomspace(params.m1, top, 2001))[-1] == pytest.approx(tail, rel=1e-13)
+        assert ccdf_table(params, top, 50)[1][-1] == pytest.approx(tail, rel=1e-13)
+        assert 0.0 < pdf_eval(params, top) < pdf_eval(params, 1e-3 * top)
+
+
+def test_one_pass_keeps_intervals_whose_k_dw_underflows(normal_pieces):
+    # k1 = m0/T1 ~ 1.5e-88: on [1e200, 1e240], k1 dw underflowed to 0, the
+    # interval got no parts, and the three values below it read 0.92948,
+    # 0.69987 and 0.57670; the references are a 40-digit mpmath integral
+    params = normalize(ModelParams(**DROPPED))
+    ms = [2.6145701603014084e-49, 1e100, 1e200, 1e240]
+    want = [0.972829394702726, 0.743219029352801, 0.620049947868574, 0.576700884014868]
+    assert ccdf_eval_many(params, ms) == pytest.approx(want, abs=1e-8)
+    assert [ccdf_eval(params, m) for m in ms] == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("raw", [DROPPED, UNDERFLOW])
+def test_quantile_past_the_domain_top_is_value_error(raw, normal_pieces):
+    # the medians lie beyond m0 / _TINY, which is below the 1e300 cap; the
+    # sampler's table edge stops at the same top
+    params = normalize(ModelParams(**raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beyond the float range"):
+            quantile(params, 0.5)
+        draws = sample_incomes(params, 1000, seed=1)
+    assert np.all(draws >= params.m_init) and draws.max() <= model._top(params)
+    assert draws.max() == pytest.approx(model._top(params), rel=1e-12)  # draws clipped at the edge
+    ccdf_eval_many(params, draws)  # every draw is an income of the domain
+
+
+def test_c_hi_overflow_is_value_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="c_hi = inf"):
+            normalize(ModelParams(**C_HI_OVERFLOW))
+
+
+def test_m1_past_the_domain_top_is_value_error():
+    with pytest.raises(ValueError, match="m1 must lie in"):
+        normalize(ModelParams(T=1.0, T1=1.0, alpha=1.5, alpha1=1.5, m0=1e-10, m1=1e300, m_init=1e-11))
+
+
+def test_log_ccdf_misfit_is_inf_past_the_domain_top():
+    base = dict(alpha=1.5, alpha1=0.5, m1=1e-105, m_init=1e-120)
+    misfit = _log_ccdf_misfit(np.array([1e-120, 1e-110, 1e200]), np.log([1.0, 0.5, 1e-100]), 1e-120, 1e-105, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert misfit(ModelParams(T=1e-110, T1=1e-110, m0=1e-110, **base)) == math.inf  # top ~4.5e197
+        assert misfit(ModelParams(T=1e-106, T1=1e-106, m0=1e-106, **base)) < math.inf  # top ~4.5e201
 
 
 def _brent_quantile(params, q):
@@ -641,7 +726,7 @@ def test_engine_error_estimate_is_rounding_level(params06, params08, which):
 
 
 @pytest.mark.parametrize("alpha1", [0.01, 0.05, 0.2])
-def test_engine_raises_no_floating_point_warnings(params08, alpha1):
+def test_engine_raises_no_floating_point_warnings(params08, alpha1, normal_pieces):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         params = _with_alpha1(params08, alpha1)
