@@ -148,7 +148,7 @@ _COEFF_KEYS = tuple(f.name for f in fields(LangevinCoeffs))
 
 
 def _numbers(obj, keys, kind=float, name="JSON") -> dict:
-    """`keys` of the JSON object `obj`, each converted by `kind`; a ValueError names a bad key."""
+    """`keys` of the JSON object `obj`, each a JSON number of type `kind`; a ValueError names a bad key."""
     if not isinstance(obj, dict):
         raise ValueError(f"{name} is not a JSON object")
     missing = [k for k in keys if k not in obj]
@@ -156,9 +156,12 @@ def _numbers(obj, keys, kind=float, name="JSON") -> dict:
         raise ValueError(f"{name} missing keys: {missing}")
     values = {}
     for k in keys:
-        try:
-            values[k] = kind(obj[k])
-        except (TypeError, ValueError, OverflowError) as exc:
+        v = obj[k]
+        try:  # a bool is an int to Python, and a string converts; neither is a JSON number
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or kind is int and int(v) != v:
+                raise ValueError(f"{v!r} is not {'an integer' if kind is int else 'a number'}")
+            values[k] = kind(v)
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{name} key {k!r}: {exc}") from None
     return values
 
@@ -261,10 +264,10 @@ def bg_ccdf(T: float, m_init: float, m):
 
     Valid in the low-income regime m << m0; T is the income temperature.
     """
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive, got {T}")
+    if not (T > 0.0 and math.isfinite(T) and m_init > 0.0 and math.isfinite(m_init)):
+        raise ValueError(f"T and m_init must be positive and finite, got {T} and {m_init}")
     arr = np.asarray(m, dtype=float)
-    if np.any(arr < m_init):
+    if not np.all(arr >= m_init):
         raise ValueError("m must be >= m_init")
     out = np.exp(-(arr - m_init) / T)
     return float(out) if arr.ndim == 0 else out
@@ -273,7 +276,7 @@ def bg_ccdf(T: float, m_init: float, m):
 def pareto_ccdf(fit: ParetoFit, m):
     """Weak Pareto tail probability (m / m_sp)^(-alpha)."""
     arr = np.asarray(m, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise ValueError("m must be positive")
     out = (arr / fit.m_sp) ** (-fit.alpha)
     return float(out) if arr.ndim == 0 else out

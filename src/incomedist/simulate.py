@@ -7,12 +7,14 @@ and a reflecting boundary at m_init keeping the support on [m_init, inf).
 Paths are advanced in fixed-size blocks, each block drawing from its own
 child of the master seed sequence.  The blocks run on a thread pool of
 min(n_blocks, available CPUs) workers (numpy's RNG and ufuncs release the
-GIL) and update preallocated buffers in place; results are bit-identical
-whatever the thread count or schedule.  The per-step noise cost dominates,
-and float32 does not halve it (a draw costs about a tenth less than in
-float64); a float32 mode buys a cheaper update and half the memory where
-the ~1e-7 relative rounding is irrelevant (it is, for distribution-level
-statistics: income scales are ~1e4..1e7 and step noise is ~1e2..1e3).
+GIL); results are bit-identical whatever the thread count or schedule.  A
+step reaches its rare upper-branch and reflected paths through index arrays,
+not masks, and allocates only those and the gathered upper-branch values.
+The per-step noise cost dominates, and float32 does not halve it (a draw
+costs about a tenth less than in float64); a float32 mode buys a cheaper
+update and half the memory where the ~1e-7 relative rounding is irrelevant
+(it is, for distribution-level statistics: income scales are ~1e4..1e7 and
+step noise is ~1e2..1e3).
 
 The reflected Euler scheme carries an O(sqrt(dt)) boundary-layer bias (the
 stationary law sits shifted by ~0.58*sqrt(2*B0*dt) near the wall), which is
@@ -145,30 +147,28 @@ def _folded_constants(config: SimConfig, dtype) -> tuple:
             dtype(2.0 * dt * c.B0), dtype(2.0 * dt * c.b))
 
 
-def _euler(m: np.ndarray, xi: np.ndarray, constants: tuple, scale: np.ndarray,
-           hi: np.ndarray, refl: np.ndarray) -> None:
-    """One reflected Euler-Maruyama update of m in place.
+def _euler(m: np.ndarray, xi: np.ndarray, constants: tuple, scale: np.ndarray) -> int:
+    """One reflected Euler-Maruyama update of the flat array m in place; returns its reflections.
 
     m' = (m*mul + add) + sqrt(var2*(m*m) + var0)*xi, with (mul, add) of m's
-    regime, folded back to 2 m_init - m' below m_init.  xi and scale are
-    scratch; hi and refl receive the regime and reflection masks.
+    regime, folded back to 2 m_init - m' below m_init.  The upper regime and
+    the fold touch only their own paths, through index sets.  xi and scale are scratch.
     """
     m1, m_init, two_m_init, lo_mul, lo_add, hi_mul, hi_add, var0, var2 = constants
-    np.greater_equal(m, m1, out=hi)
     np.multiply(m, m, out=scale)
     scale *= var2
     scale += var0
     np.sqrt(scale, out=scale)
     xi *= scale
-    np.copyto(scale, lo_mul)
-    np.copyto(scale, hi_mul, where=hi)
-    m *= scale
-    np.copyto(scale, lo_add)
-    np.copyto(scale, hi_add, where=hi)
-    m += scale
+    up = np.flatnonzero(m >= m1)
+    upper = m[up] * hi_mul + hi_add
+    m *= lo_mul
+    m += lo_add
+    m[up] = upper
     m += xi
-    np.less(m, m_init, out=refl)
-    np.subtract(two_m_init, m, out=m, where=refl)
+    low = np.flatnonzero(m < m_init)
+    m[low] = two_m_init - m[low]
+    return low.size
 
 
 def step(m, config: SimConfig, noise):
@@ -177,13 +177,12 @@ def step(m, config: SimConfig, noise):
     m' = m - A(m) dt + sqrt(2 B(m) dt) * noise; any m' below m_init is
     folded back to 2 m_init - m'.  This is the float64 update of
     run_ensemble, so iterating it on a block's noise stream reproduces that
-    block bit for bit.
+    block bit for bit.  m and noise broadcast, and their shape is kept.
     """
-    out, xi = (a.copy() for a in np.broadcast_arrays(np.asarray(m, dtype=float),
-                                                     np.asarray(noise, dtype=float)))
-    _euler(out, xi, _folded_constants(config, np.float64), np.empty_like(out),
-           np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool))
-    return float(out) if out.ndim == 0 else out
+    m, noise = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(noise, dtype=float))
+    out = m.flatten()  # a fresh flat copy: the kernel indexes flat arrays
+    _euler(out, noise.flatten(), _folded_constants(config, np.float64), np.empty(out.size))
+    return float(out[0]) if m.ndim == 0 else out.reshape(m.shape)
 
 
 def _default_initial(config: SimConfig) -> float:
@@ -196,7 +195,7 @@ def _default_initial(config: SimConfig) -> float:
 
 def _run_block(config: SimConfig, m0_block: np.ndarray, seed_seq: np.random.SeedSequence,
                dtype, out: np.ndarray) -> int:
-    """Advance one block through all n_steps into out; returns its reflection count.
+    """Advance one block through all n_steps into out; returns the reflections _euler counted.
 
     Runs on a pool thread, so it calls only numpy and private helpers:
     perfbench's tracer wraps the public names with a span stack that is not
@@ -206,12 +205,10 @@ def _run_block(config: SimConfig, m0_block: np.ndarray, seed_seq: np.random.Seed
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     m = m0_block.astype(dtype, copy=True)
     xi, scale = np.empty_like(m), np.empty_like(m)
-    hi, refl = np.empty(m.size, dtype=bool), np.empty(m.size, dtype=bool)
     n_refl = 0
     for _ in range(config.n_steps):
         rng.standard_normal(dtype=dtype, out=xi)
-        _euler(m, xi, constants, scale, hi, refl)
-        n_refl += int(np.count_nonzero(refl))
+        n_refl += _euler(m, xi, constants, scale)
     out[...] = m
     return n_refl
 
@@ -235,16 +232,13 @@ def run_ensemble(config: SimConfig, initial=None, *, dtype="float64") -> Ensembl
     scalar_type = np.dtype(dtype).type
     if scalar_type not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-    if initial is None:
-        init = np.full(config.n_paths, _default_initial(config))
-    else:
-        init = np.asarray(initial, dtype=float)
-        if init.ndim == 0:
-            init = np.full(config.n_paths, float(init))
-        elif init.shape != (config.n_paths,):
-            raise ValueError("initial must be a scalar or an array of n_paths values")
-        if not np.all(np.isfinite(init) & (init >= config.m_init)):
-            raise ValueError("initial incomes must be finite and >= m_init")
+    init = np.asarray(_default_initial(config) if initial is None else initial, dtype=float)
+    if init.ndim == 0:
+        init = np.full(config.n_paths, float(init))
+    elif init.shape != (config.n_paths,):
+        raise ValueError("initial must be a scalar or an array of n_paths values")
+    if not np.all(np.isfinite(init) & (init >= config.m_init)):
+        raise ValueError("initial incomes must be finite and >= m_init")
 
     n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
     children = np.random.SeedSequence(config.seed).spawn(n_blocks)

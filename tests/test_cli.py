@@ -393,6 +393,12 @@ _MALFORMED = {
     "coeffs-list": json.dumps(dict(_CONFIG08, coeffs=list(_CONFIG08["coeffs"].values()))),
     "n_paths-list": json.dumps(dict(_CONFIG08, n_paths=[3])),
     "n_paths-inf": json.dumps(dict(_CONFIG08, n_paths=math.inf)),
+    # JSON numbers only: no strings, no booleans, no fractions for integer keys
+    "T-string": json.dumps(dict(json.loads(_P08.to_json()), T="2e4")),
+    "alpha-true": json.dumps(dict(json.loads(_P08.to_json()), alpha=True)),
+    "n_steps-true": json.dumps(dict(_CONFIG08, n_steps=True)),
+    "seed-fraction": json.dumps(dict(_CONFIG08, seed=2.7)),
+    "n_paths-fraction": json.dumps(dict(_CONFIG08, n_paths=1.5)),
 }
 
 

@@ -57,6 +57,12 @@ def test_bg_ccdf_exact_values():
     assert bg_ccdf(4.0e4, 0.01, 0.01) == 1.0
     assert bg_ccdf(4.0e4, 0.01, 0.01 + 4.0e4) == pytest.approx(0.367879441171442, rel=1e-12)
     assert bg_ccdf(4.0e4, 0.01, 0.01 + 8.0e4) == pytest.approx(0.135335283236613, rel=1e-12)
+    assert bg_ccdf(1e4, 0.01, math.inf) == 0.0
+    # NaN is no income and no wall: each fails its check rather than giving NaN
+    for m_init, m in [(0.01, math.nan), (0.01, [1.0, math.nan]), (math.nan, 5.0),
+                      (math.inf, math.inf), (0.0, 5.0), (-1.0, 5.0)]:
+        with pytest.raises(ValueError):
+            bg_ccdf(1e4, m_init, m)
 
 
 def test_pareto_ccdf_exact_value():
@@ -64,6 +70,10 @@ def test_pareto_ccdf_exact_value():
     # 2**-2.902
     assert pareto_ccdf(fit, 2.0e5) == pytest.approx(0.133786087303328, rel=1e-12)
     assert pareto_ccdf(fit, 1.0e5) == 1.0
+    assert pareto_ccdf(fit, math.inf) == 0.0
+    for m in (math.nan, [2.0e5, math.nan], 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            pareto_ccdf(ParetoFit(1e4, 2.0), m)
 
 
 @pytest.mark.parametrize("fixture,frozen", [

@@ -174,6 +174,52 @@ def test_run_ensemble_blocks_match_step_on_own_streams():
     assert np.array_equal(ens.samples, expect)
 
 
+def _reference_step(m, xi, constants):
+    # the reflected Euler-Maruyama update written out on its own, not through
+    # the kernel: noise from the pre-step m, each path's affine drift, the
+    # sum, then the fold below the wall; returns the new m and its reflections
+    m1, m_init, two_m_init, lo_mul, lo_add, hi_mul, hi_add, var0, var2 = constants
+    noise = np.sqrt((m * m) * var2 + var0) * xi
+    moved = np.where(m >= m1, m * hi_mul + hi_add, m * lo_mul + lo_add) + noise
+    below = moved < m_init
+    return np.where(below, two_m_init - moved, moved), int(np.count_nonzero(below))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_run_ensemble_matches_a_reference_update(dtype):
+    cfg, initial = _three_block_config()
+    constants = simulate._folded_constants(cfg, dtype)
+    expect, n_refl, n_up = np.empty(cfg.n_paths), 0, 0
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
+        lo, hi = i * 16384, min((i + 1) * 16384, cfg.n_paths)
+        rng = np.random.Generator(np.random.PCG64(child))
+        m = initial[lo:hi].astype(dtype)
+        for _ in range(cfg.n_steps):
+            n_up += int(np.count_nonzero(m >= cfg.m1))
+            m, k = _reference_step(m, rng.standard_normal(hi - lo, dtype=dtype), constants)
+            assert m.dtype == dtype
+            n_refl += k
+        expect[lo:hi] = m
+    np.maximum(expect, cfg.m_init, out=expect)
+    assert n_up > 0 and n_refl > 0  # both branches and the wall are exercised
+    ens = run_ensemble(cfg, initial=initial, dtype=dtype.__name__)
+    assert ens.n_reflections == n_refl
+    assert np.array_equal(ens.samples, expect)
+
+
+def test_step_keeps_shape_and_matches_a_reference_update():
+    cfg, initial = _three_block_config()
+    constants = simulate._folded_constants(cfg, np.float64)
+    rng = np.random.default_rng(4)
+    for m in (initial[0], initial[::997], initial[::997][:30].reshape(5, 6)):
+        noise = rng.standard_normal(np.shape(m))
+        out = step(m, cfg, noise)
+        expect, _ = _reference_step(np.asarray(m), noise, constants)
+        assert np.shape(out) == np.shape(m)
+        assert np.array_equal(out, expect)
+    assert isinstance(step(initial[0], cfg, 0.5), float)
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_run_ensemble_thread_count_invariant(monkeypatch, dtype):
     # one worker, two, and one per block (more workers than a 2-core host has cores)
