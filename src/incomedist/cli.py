@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
@@ -211,7 +210,7 @@ def cmd_rank(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _out_path(args)
-    _write_line(out, json.dumps(dataclasses.asdict(rf), sort_keys=True))
+    _write_line(out, rf.to_json())
     _say(args, f"alpha_rank {rf.alpha_rank:.4f}  alpha_pareto {rf.alpha_pareto:.4f} "
                f"+- {rf.stderr:.4f}")
     _say(args, f"wrote {out}")

@@ -17,11 +17,11 @@ import sys
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from incomedist import _rows
+from incomedist.model import _count, _positive
 
 __all__ = [
     "ParseError",
@@ -315,13 +315,7 @@ def _overlap_factor(survey: np.ndarray, rich: np.ndarray, *,
 
     The segment is the survey incomes above `cut` if given, else the top_k.
     """
-    if cut is not None:
-        seg = survey[survey > cut]
-    else:
-        k = int(top_k)
-        if k < 1:
-            raise ValueError("top_k must be >= 1")
-        seg = np.sort(survey)[-k:]
+    seg = survey[survey > cut] if cut is not None else np.sort(survey)[-_count("top_k", top_k):]
     return find_scale_factor(seg, rich)
 
 
@@ -342,8 +336,7 @@ def fuse(survey, rich_incomes, factor: float | None = None, *,
     else:
         if factor is None:
             factor = _overlap_factor(survey_arr, rich_arr, cut=cut, top_k=top_k)
-        if not (factor > 0.0 and isfinite(factor)):
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        _positive("factor", factor)
         fused = np.concatenate([survey_arr, factor * rich_arr])
     if not _positive_finite(fused):
         raise ValueError("incomes must be positive and finite")

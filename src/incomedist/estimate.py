@@ -52,10 +52,9 @@ factor of about 10 (alpha1 on the 2008 wave) to 50 (a pure Pareto sample).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +64,8 @@ from incomedist.model import (
     ParetoFit,
     TailDivergenceError,
     _log_ccdf_misfit,
+    _positive,
+    _Record,
     normalize,
 )
 
@@ -104,7 +105,7 @@ class ParetoSegmentFit:
 
 
 @dataclass(frozen=True)
-class RankFit:
+class RankFit(_Record):
     """Log-log rank-plot fit: value ~ rank^(-alpha_rank), alpha_pareto = 1/alpha_rank."""
 
     alpha_rank: float
@@ -112,14 +113,14 @@ class RankFit:
     stderr: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha_rank > 0.0 and self.alpha_pareto > 0.0):
-            raise ValueError("rank-fit exponents must be positive")
+        _positive("alpha_rank", self.alpha_rank)
+        _positive("alpha_pareto", self.alpha_pareto)
         if abs(self.alpha_pareto * self.alpha_rank - 1.0) > 1e-9:
             raise ValueError("alpha_pareto must be the reciprocal of alpha_rank")
 
 
 @dataclass(frozen=True)
-class FitReport:
+class FitReport(_Record):
     """Full three-step fit: parameters, per-step diagnostics, uncertainties."""
 
     params: ModelParams
@@ -143,9 +144,6 @@ class FitReport:
             raise ValueError("uncertainties must be non-negative")
         if not (self.T_bg <= self.refined_T <= 1.5 * self.T_bg * (1 + 1e-12)):
             raise ValueError("refined_T must lie in [T_bg, 1.5 T_bg]")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def summary(self) -> str:
         lines = [

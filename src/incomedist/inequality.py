@@ -12,13 +12,12 @@ higher moments diverge, so the median is the only location measure.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from incomedist.empirics import _incomes_array
-from incomedist.model import ModelParams, _ccdf_nodes, quantile
+from incomedist.model import ModelParams, _ccdf_nodes, _Record, quantile
 
 __all__ = [
     "DegenerateClassError",
@@ -102,7 +101,7 @@ def median_income(params: ModelParams) -> float:
 
 
 @dataclass(frozen=True)
-class ClassStats:
+class ClassStats(_Record):
     """Bundle of class fractions, ratios, Gini and median for reporting.
 
     gini is None when no income sample was supplied (fractions, ratios and
@@ -122,9 +121,6 @@ class ClassStats:
             raise ValueError("class fractions must sum to 100")
         if self.gini is not None and not (0.0 <= self.gini <= 100.0):
             raise ValueError(f"gini out of range: {self.gini}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def table(self) -> str:
         rows = [

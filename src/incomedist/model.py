@@ -98,6 +98,9 @@ _QUANTILE_RTOL = 1e-8
 # over 88 rungs costs about as much as over one income, and the closer the
 # rungs, the fewer Newton steps from the start interpolated between them.
 _QUANTILE_RUNGS = 2.0 ** np.arange(-16.0, 28.0, 0.5)
+# ccdf_eval_many's exact pass takes requests of up to this many distinct
+# incomes, and a larger one interpolates on a ccdf_table of this many nodes.
+_TABLE_GRID = 2000
 # The sampler's table edge: decades up from 10 m1 in one pass.
 _EDGE_DECADES = 24
 # Incomes searched for quantiles and table edges stop here, or at _top below
@@ -109,8 +112,31 @@ class TailDivergenceError(ValueError):
     """The high-income exponent makes the tail mass non-integrable."""
 
 
+class _Record:
+    """Base of the package's records, frozen dataclasses written as flat JSON with sorted keys."""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+
+def _positive(name: str, v) -> None:
+    """A ValueError naming `name` unless v is a positive finite real."""
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def _count(name: str, v, floor: int = 1) -> int:
+    """v as an int (2.0 is 2); a ValueError naming `name` unless v is integral, >= floor and no bool."""
+    try:  # int() raises for NaN, inf and most of what is no number
+        if not isinstance(v, bool) and int(v) == v >= floor:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be >= {floor} and an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
-class LangevinCoeffs:
+class LangevinCoeffs(_Record):
     """Coefficients of the threshold Langevin dynamics.
 
     Drift is A(m) = A0 + a*m below the threshold and A0_hi + a_hi*m at and
@@ -127,17 +153,15 @@ class LangevinCoeffs:
     b: float
 
     def __post_init__(self) -> None:
-        for name in ("A0", "A0_hi", "a", "B0", "b"):
-            v, strict = getattr(self, name), name in ("B0", "b")
-            if not ((v > 0.0 if strict else v >= 0.0) and math.isfinite(v)):
-                raise ValueError(f"{name} must be {'>' if strict else '>='} 0, got {v}")
+        for name in ("A0", "A0_hi", "a"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        _positive("B0", self.B0)
+        _positive("b", self.b)
         if not (self.a_hi > -self.b and math.isfinite(self.a_hi)):
             raise ValueError(
                 f"a_hi must exceed -b for an integrable tail, got a_hi={self.a_hi}, b={self.b}"
             )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LangevinCoeffs":
@@ -148,7 +172,7 @@ _COEFF_KEYS = tuple(f.name for f in fields(LangevinCoeffs))
 
 
 def _numbers(obj, keys, kind=float, name="JSON") -> dict:
-    """`keys` of the JSON object `obj`, each a JSON number of type `kind`; a ValueError names a bad key."""
+    """`keys` of the JSON object `obj` as floats (kind=int: counts >= 0); a ValueError names a bad key."""
     if not isinstance(obj, dict):
         raise ValueError(f"{name} is not a JSON object")
     missing = [k for k in keys if k not in obj]
@@ -158,16 +182,16 @@ def _numbers(obj, keys, kind=float, name="JSON") -> dict:
     for k in keys:
         v = obj[k]
         try:  # a bool is an int to Python, and a string converts; neither is a JSON number
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or kind is int and int(v) != v:
-                raise ValueError(f"{v!r} is not {'an integer' if kind is int else 'a number'}")
-            values[k] = kind(v)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{v!r} is not a number")
+            values[k] = _count(k, v, 0) if kind is int else float(v)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{name} key {k!r}: {exc}") from None
     return values
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """Effective parameters of the two-branch equilibrium density.
 
     T and T1 are the income temperatures of the two regimes, alpha and alpha1
@@ -188,12 +212,8 @@ class ModelParams:
     m_init: float
 
     def __post_init__(self) -> None:
-        for name in ("T", "T1", "m0", "m1", "m_init"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        for name in ("T", "T1", "alpha", "m0", "m1", "m_init"):
+            _positive(name, getattr(self, name))
         if not math.isfinite(self.alpha1):
             raise ValueError(f"alpha1 must be finite, got {self.alpha1}")
         if not (self.m_init < self.m0 <= self.m1):
@@ -229,13 +249,9 @@ class ModelParams:
     def c_hi(self) -> float:
         return self._constants[1]
 
-    def to_json(self) -> str:
-        """Flat JSON with the shape parameters only; the constants are derived again on load."""
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
-        """Normalized params from flat JSON or from a fit report's nested `params`."""
+        """Normalized params from flat JSON (to_json writes the shape only) or a fit report's `params`."""
         obj = json.loads(text)
         if isinstance(obj, dict) and isinstance(obj.get("params"), dict):
             obj = obj["params"]  # `incomedist fit` output nests the parameters
@@ -253,10 +269,8 @@ class ParetoFit:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (self.m_sp > 0.0 and math.isfinite(self.m_sp)):
-            raise ValueError(f"m_sp must be positive, got {self.m_sp}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _positive("m_sp", self.m_sp)
+        _positive("alpha", self.alpha)
 
 
 def bg_ccdf(T: float, m_init: float, m):
@@ -264,8 +278,8 @@ def bg_ccdf(T: float, m_init: float, m):
 
     Valid in the low-income regime m << m0; T is the income temperature.
     """
-    if not (T > 0.0 and math.isfinite(T) and m_init > 0.0 and math.isfinite(m_init)):
-        raise ValueError(f"T and m_init must be positive and finite, got {T} and {m_init}")
+    _positive("T", T)
+    _positive("m_init", m_init)
     arr = np.asarray(m, dtype=float)
     if not np.all(arr >= m_init):
         raise ValueError("m must be >= m_init")
@@ -421,17 +435,18 @@ def ccdf_eval(params: ModelParams, m: float) -> float:
     return float(tail[0])
 
 
-def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = 2000):
+def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = _TABLE_GRID):
     """CCDF on a log-spaced income grid, by cumulative interval quadrature.
 
-    Returns (ms, Pi) with ms[0] == m_init.  The grid is only a shared set of
-    evaluation points, not an approximation scheme: every interval between
-    grid points is integrated with the same K21 rule on graded pieces, all in
-    one array pass, so each value is as accurate as a scalar ccdf_eval; m1 is
-    inserted as a node so no interval straddles the branch switch.
+    Returns (ms, Pi) on n_grid >= 2 nodes, ms[0] == m_init.  The grid is only
+    a shared set of evaluation points, not an approximation scheme: every
+    interval between grid points is integrated with the same K21 rule on
+    graded pieces, all in one array pass, so each value is as accurate as a
+    scalar ccdf_eval; m1 is inserted as a node so no interval straddles the
+    branch switch.
     """
     _incomes(params, m_hi, "m_hi")
-    ms = _table_grid(params.m_init, params.m1, m_hi, n_grid)
+    ms = _table_grid(params.m_init, params.m1, m_hi, _count("n_grid", n_grid, 2))
     tail, _ = _ccdf_nodes(params, ms, params.c_lo, params.c_hi)
     return ms, tail
 
@@ -443,24 +458,24 @@ def _table_grid(m_init: float, m1: float, m_hi: float, n_grid: int) -> np.ndarra
     return np.unique(np.append(ms, m1)) if m_init < m1 < m_hi else ms
 
 
-def ccdf_eval_many(params: ModelParams, ms, n_grid: int = 2000) -> np.ndarray:
+def ccdf_eval_many(params: ModelParams, ms) -> np.ndarray:
     """CCDF at every income of ms (any shape), which it keeps.
 
-    A request of at most n_grid distinct incomes is exact: one engine pass
+    A request of at most 2000 distinct incomes is exact: one engine pass
     over them, each value as accurate as a scalar ccdf_eval.  A larger one
     (a KS statistic on a large sample) is interpolated log-log on the
-    n_grid-node ccdf_table up to its largest income, at an error of about
-    1e-5 relative on the default grid.
+    2000-node ccdf_table up to its largest income, at an error of about
+    1e-5 relative.
     """
     arr = _incomes(params, ms, "ms")
     if arr.size == 0:
         return np.empty(0)
     nodes = np.unique(arr)
-    if nodes.size <= n_grid:
+    if nodes.size <= _TABLE_GRID:
         tail, _ = _ccdf_nodes(params, nodes, params.c_lo, params.c_hi)
         return tail[np.searchsorted(nodes, arr)]
     del nodes  # the table path keeps no sorted copy of a large request
-    grid_m, grid_pi = ccdf_table(params, min(float(arr.max()) * (1.0 + 1e-12), _top(params)), n_grid)
+    grid_m, grid_pi = ccdf_table(params, min(float(arr.max()) * (1.0 + 1e-12), _top(params)), _TABLE_GRID)
     with np.errstate(divide="ignore"):  # a fully underflowed tail is an honest 0
         return np.exp(np.interp(np.log(arr), np.log(grid_m), np.log(grid_pi)))
 
@@ -607,7 +622,7 @@ def quantile(params: ModelParams, q: float) -> float:
 
 
 def sample_incomes(params: ModelParams, n: int, seed=None) -> np.ndarray:
-    """Draw n incomes by quantile inversion on a dense CCDF table.
+    """Draw n >= 1 incomes by quantile inversion on a dense CCDF table.
 
     The table extends until the tail probability drops below ~1e-3/n, so the
     chance of any draw being clipped at the table edge is negligible.  The
@@ -615,8 +630,7 @@ def sample_incomes(params: ModelParams, n: int, seed=None) -> np.ndarray:
     alpha1 of a few hundredths holds mass beyond it, and those draws clip
     to the edge.  seed is anything np.random.default_rng takes.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n = _count("n", n)
     p_floor = max(1e-12, 1e-3 / n)
     decades = np.cumprod(np.append(10.0 * params.m1, np.full(_EDGE_DECADES - 1, 10.0)))
     edge = _bracket(params, p_floor, *_climb(params, decades))[2]
@@ -635,8 +649,8 @@ def coeffs_to_effective(coeffs: LangevinCoeffs, m1: float, m_init: float) -> Mod
     T = B0/A0, T1 = B0/A0_hi, alpha = 1 + a/b, alpha1 = 1 + a_hi/b,
     m0 = sqrt(B0/b).
     """
-    if coeffs.A0 <= 0.0 or coeffs.A0_hi <= 0.0:
-        raise ValueError("A0 and A0_hi must be positive to define temperatures")
+    _positive("A0", coeffs.A0)  # a temperature B0/A0 needs A0 > 0
+    _positive("A0_hi", coeffs.A0_hi)
     return ModelParams(
         T=coeffs.B0 / coeffs.A0,
         T1=coeffs.B0 / coeffs.A0_hi,

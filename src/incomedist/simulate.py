@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from incomedist.empirics import _cpu_count, _write_csv
-from incomedist.model import _COEFF_KEYS, LangevinCoeffs, ModelParams, _numbers, ccdf_eval_many
+from incomedist.model import (
+    _COEFF_KEYS, LangevinCoeffs, ModelParams, _count, _numbers, _positive, _Record, ccdf_eval_many,
+)
 
 __all__ = [
     "StabilityError",
@@ -58,8 +60,8 @@ def stability_bound(coeffs: LangevinCoeffs) -> float:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Complete, serializable description of one ensemble run."""
+class SimConfig(_Record):
+    """Complete, serializable description of one ensemble run; its counts are kept as ints."""
 
     coeffs: LangevinCoeffs
     m1: float
@@ -70,24 +72,17 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (self.m_init > 0.0 and math.isfinite(self.m_init)):
-            raise ValueError(f"m_init must be positive, got {self.m_init}")
+        for name in ("m_init", "m1", "dt"):
+            _positive(name, getattr(self, name))
         if not (self.m1 > self.m_init):
             raise ValueError(f"m1 must exceed m_init, got {self.m1}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        for name, floor in (("n_steps", 0), ("n_paths", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), floor))
         bound = stability_bound(self.coeffs)
         if self.dt >= bound:
             raise StabilityError(
                 f"dt={self.dt} violates the stability bound 1/(2 max(a, |a_hi|, b)) = {bound}"
             )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":

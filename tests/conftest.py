@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from incomedist import EmpiricalCCDF, ccdf_table, model, normalize, preset_params, rank_ccdf
 
@@ -85,3 +85,11 @@ def direct_misfit(ms, log_p, m_init, m1, n_grid):
         return float(resid @ resid)
 
     return misfit
+
+
+def spoil_one(draw, fields: dict) -> dict:
+    """fields, or half the time a copy with one of them set to 0, -1, inf or NaN."""
+    bad = draw(st.one_of(st.none(), st.sampled_from(list(fields))))
+    if bad is None:
+        return fields
+    return dict(fields, **{bad: draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))})

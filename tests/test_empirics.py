@@ -218,6 +218,12 @@ def test_fuse_derives_rule_based_factor():
         assert any(abs(v - factor * r) < 1e-9 * factor * r for v in fused_set)
 
 
+def test_fuse_takes_top_k_by_the_count_rule():
+    # 1.5 silently took the top 1
+    with pytest.raises(ValueError, match="^top_k must be >= 1"):
+        fuse(np.linspace(10.0, 500.0, 40), [50000.0, 80000.0], top_k=1.5)
+
+
 @given(st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=200))
 def test_rank_ccdf_structure_property(values):
     ccdf = rank_ccdf(values)

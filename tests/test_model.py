@@ -33,7 +33,7 @@ from incomedist import (
 from incomedist import model
 from incomedist.model import _ccdf_nodes, _log_ccdf_misfit
 
-from conftest import C_HI_OVERFLOW, DROPPED, FAR, UNDERFLOW, direct_misfit, noiseless_ccdf
+from conftest import C_HI_OVERFLOW, DROPPED, FAR, UNDERFLOW, direct_misfit, noiseless_ccdf, spoil_one
 
 # Frozen two-branch constants for the bundled parameter sets, computed once
 # against a 50-digit arbitrary-precision quadrature of the same integrals.
@@ -170,7 +170,7 @@ def _table_and_interp(params, ms, n_grid):
 
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
-def test_ccdf_eval_many_is_exact_up_to_n_grid_distinct_incomes(year):
+def test_ccdf_eval_many_is_exact_up_to_n_grid_distinct_incomes(year, monkeypatch):
     params = preset_params(year)
     rng = np.random.default_rng(4)
     picks = np.geomspace(params.m_init, 1e3 * params.m1, 40)
@@ -184,18 +184,21 @@ def test_ccdf_eval_many_is_exact_up_to_n_grid_distinct_incomes(year):
     assert got2.shape == (6, 8)
     np.testing.assert_allclose(got2, scalar[:48].reshape(6, 8), rtol=1e-13, atol=0.0)
     # exactly n_grid distinct incomes, each twice, still take the exact pass
+    monkeypatch.setattr(model, "_TABLE_GRID", 60)
     grid = np.geomspace(params.m_init, 100 * params.m1, 60)
-    got3 = ccdf_eval_many(params, np.concatenate([grid, grid[::-1]]), n_grid=60)
+    got3 = ccdf_eval_many(params, np.concatenate([grid, grid[::-1]]))
     exact = np.array([ccdf_eval(params, m) for m in grid])
     np.testing.assert_allclose(got3, np.concatenate([exact, exact[::-1]]), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
-def test_ccdf_eval_many_above_n_grid_keeps_the_table(year):
+def test_ccdf_eval_many_above_n_grid_keeps_the_table(year, monkeypatch):
     params = preset_params(year)
     grid = np.geomspace(params.m_init, 100 * params.m1, 61)
     ms = np.concatenate([grid, grid[:30]])  # 61 distinct incomes on a 60-node grid
-    got = ccdf_eval_many(params, ms, n_grid=60)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_TABLE_GRID", 60)
+        got = ccdf_eval_many(params, ms)
     assert got.tobytes() == _table_and_interp(params, ms, 60).tobytes()
     big = sample_incomes(params, 3000, seed=11)
     assert ccdf_eval_many(params, big).tobytes() == _table_and_interp(params, big, 2000).tobytes()
@@ -508,6 +511,20 @@ def test_sampler_deterministic_and_bounded(params08):
     assert sample_incomes(params08, 500, seed=np.random.default_rng(123)).tobytes() == a.tobytes()
 
 
+def test_sampler_takes_its_count_by_the_count_rule(params08):
+    # 1.5 raised numpy's TypeError, and 2.0 did too
+    with pytest.raises(ValueError, match="^n must be >= 1"):
+        sample_incomes(params08, 1.5, seed=1)
+    assert sample_incomes(params08, 2.0, seed=1).shape == (2,)
+
+
+@pytest.mark.parametrize("n_grid", [0, 2.5])
+def test_ccdf_table_takes_its_count_by_the_count_rule(params08, n_grid):
+    # 0 raised IndexError, and 2.5 numpy's TypeError
+    with pytest.raises(ValueError, match="^n_grid must be >= 2"):
+        ccdf_table(params08, 1e9, n_grid)
+
+
 def test_sampler_matches_model_ks(params08):
     samp = sample_incomes(params08, 20000, seed=5)
     xs = np.sort(samp)
@@ -611,6 +628,28 @@ def _param_sets(draw):
     m1 = m0 * draw(st.floats(1.0, 30.0))
     return ModelParams(T=T, T1=T, alpha=alpha, alpha1=alpha1,
                        m0=m0, m1=m1, m_init=0.01)
+
+
+@st.composite
+def _laws(draw):
+    """The seven fields of a law over scales from 1e-30 to 1e30."""
+    m_init = 10.0 ** draw(st.floats(-30.0, 30.0))
+    m0 = m_init * 10.0 ** draw(st.floats(0.01, 6.0))
+    return spoil_one(draw, dict(T=m0 * 10.0 ** draw(st.floats(-3.0, 3.0)),
+                                T1=m0 * 10.0 ** draw(st.floats(-3.0, 3.0)),
+                                alpha=10.0 ** draw(st.floats(-2.0, 1.0)), alpha1=draw(st.floats(-1.0, 5.0)),
+                                m0=m0, m1=m0 * 10.0 ** draw(st.floats(0.0, 6.0)), m_init=m_init))
+
+
+@settings(max_examples=60)
+@given(_laws())
+def test_every_law_that_normalizes_round_trips_through_json(raw):
+    try:
+        law = normalize(ModelParams(**raw))
+    except ValueError:
+        return
+    back = ModelParams.from_json(law.to_json())
+    assert back == law and (back.c_lo, back.c_hi) == (law.c_lo, law.c_hi)
 
 
 @given(_param_sets(), st.floats(0.2, 50.0))
@@ -850,7 +889,7 @@ def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
     # m_init is the grid's first node and m1 an inserted one: weight 1 on one node
     rng = np.random.default_rng(7)
     ms = np.concatenate(([params08.m_init, params08.m1], sample_incomes(params08, 2000, seed=7)))
-    log_p = np.log(ccdf_eval_many(params08, ms, 800)) + 0.05 * rng.standard_normal(ms.size)
+    log_p = np.log(ccdf_eval_many(params08, ms)) + 0.05 * rng.standard_normal(ms.size)
     fast, ref = _misfit_pair(params08, ms, log_p)
     for params in (params08, _in_box(params08, 1.3, 0.7)):
         assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)

@@ -1,8 +1,11 @@
+import json
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incomedist import (
     Ensemble,
@@ -20,6 +23,8 @@ from incomedist import (
     step,
 )
 from incomedist import simulate
+
+from conftest import spoil_one
 
 COEFFS_08 = LangevinCoeffs(A0=496202.5316455696, a=1.902,
                            A0_hi=496202.5316455696, a_hi=-0.21,
@@ -53,6 +58,62 @@ def test_config_validation():
 def test_config_json_round_trip():
     cfg = _config(n_steps=123, seed=9)
     assert SimConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("name, value", [("n_paths", 1.5), ("n_steps", 2.5), ("seed", 2.7),
+                                         ("seed", True), ("seed", -1), ("m1", math.inf)])
+def test_config_rejects_what_the_json_reader_rejects(name, value):
+    # each was accepted, and all but m1 then failed in numpy at run time
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        _config(**{name: value})
+
+
+def test_config_keeps_counts_as_ints():
+    cfg = _config(n_paths=2.0, n_steps=np.int64(3), seed=np.int64(2**40))
+    assert (cfg.n_paths, cfg.n_steps, cfg.seed) == (2, 3, 2**40)
+    assert all(type(v) is int for v in (cfg.n_paths, cfg.n_steps, cfg.seed))
+    assert json.loads(cfg.to_json())["n_paths"] == 2
+
+
+def _built(build):
+    """build(), or None where it raises ValueError."""
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+_COUNTS = st.sampled_from([2, 2.0, 1.5, True, -1, math.inf, math.nan, np.int64(5), 2**70])
+
+
+@st.composite
+def _runs(draw):
+    """LangevinCoeffs fields, and SimConfig's m1, m_init and dt as a share of the stability bound."""
+    coeffs = spoil_one(draw, dict(A0=draw(st.floats(0.0, 1e6)), a=draw(st.floats(0.0, 10.0)),
+                                  A0_hi=draw(st.floats(0.0, 1e6)), a_hi=draw(st.floats(-0.5, 10.0)),
+                                  B0=draw(st.floats(1e-3, 1e10)), b=draw(st.floats(0.5, 10.0))))
+    m_init = draw(st.floats(1e-3, 1e3))
+    return coeffs, spoil_one(draw, dict(m_init=m_init, m1=m_init * draw(st.floats(1.0, 1e6)),
+                                        dt_share=draw(st.floats(0.0, 1.0))))
+
+
+@settings(max_examples=200)
+@given(_runs(), st.fixed_dictionaries(dict.fromkeys(("n_steps", "n_paths", "seed"), _COUNTS)))
+def test_records_round_trip_and_counts_agree_with_the_json_reader(run, counts):
+    # records are only built and written here, never run
+    coeffs, reals = run
+    c = _built(lambda: LangevinCoeffs(**coeffs))
+    if c is not None:
+        assert LangevinCoeffs.from_json(c.to_json()) == c
+        cfg = _built(lambda: SimConfig(coeffs=c, m1=reals["m1"], m_init=reals["m_init"],
+                                       dt=reals["dt_share"] * stability_bound(c), **counts))
+        if cfg is not None:
+            assert SimConfig.from_json(cfg.to_json()) == cfg
+    base = _config()
+    for name, value in counts.items():
+        text = json.dumps(dict(json.loads(base.to_json()), **{name: value}), default=int)
+        if _built(lambda: SimConfig.from_json(text)) is None:
+            assert _built(lambda: replace(base, **{name: value})) is None, (name, value)
 
 
 def test_drift_switches_at_threshold():
