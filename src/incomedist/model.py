@@ -119,10 +119,19 @@ class _Record:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _positive(name: str, v) -> None:
-    """A ValueError naming `name` unless v is a positive finite real."""
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError(f"{name} must be positive and finite, got {v}")
+def _real(name: str, v, ok=lambda x: True, rule: str = "finite") -> float:
+    """v as a float; a ValueError naming `name` unless v is a finite real (never a bool) that passes ok."""
+    try:
+        if not isinstance(v, bool) and math.isfinite(v) and ok(v):
+            return float(v)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {rule}, got {v!r}")
+
+
+def _positive(name: str, v) -> float:
+    """v as a float; a ValueError naming `name` unless v is a positive finite real."""
+    return _real(name, v, lambda x: x > 0.0, "positive and finite")
 
 
 def _count(name: str, v, floor: int = 1) -> int:
@@ -154,14 +163,12 @@ class LangevinCoeffs(_Record):
 
     def __post_init__(self) -> None:
         for name in ("A0", "A0_hi", "a"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        _positive("B0", self.B0)
-        _positive("b", self.b)
-        if not (self.a_hi > -self.b and math.isfinite(self.a_hi)):
-            raise ValueError(
-                f"a_hi must exceed -b for an integrable tail, got a_hi={self.a_hi}, b={self.b}"
-            )
+            value = _real(name, getattr(self, name), lambda x: x >= 0.0, ">= 0 and finite")
+            object.__setattr__(self, name, value)
+        for name in ("B0", "b"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        object.__setattr__(self, "a_hi", _real("a_hi", self.a_hi, lambda x: x > -self.b,
+                                               f"finite and exceed -b = {-self.b} for an integrable tail"))
 
     @classmethod
     def from_json(cls, text: str) -> "LangevinCoeffs":
@@ -213,9 +220,8 @@ class ModelParams(_Record):
 
     def __post_init__(self) -> None:
         for name in ("T", "T1", "alpha", "m0", "m1", "m_init"):
-            _positive(name, getattr(self, name))
-        if not math.isfinite(self.alpha1):
-            raise ValueError(f"alpha1 must be finite, got {self.alpha1}")
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        object.__setattr__(self, "alpha1", _real("alpha1", self.alpha1))
         if not (self.m_init < self.m0 <= self.m1):
             raise ValueError(
                 f"require 0 < m_init < m0 <= m1, got m_init={self.m_init}, m0={self.m0}, m1={self.m1}"
@@ -269,8 +275,8 @@ class ParetoFit:
     alpha: float
 
     def __post_init__(self) -> None:
-        _positive("m_sp", self.m_sp)
-        _positive("alpha", self.alpha)
+        for name in ("m_sp", "alpha"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
 def bg_ccdf(T: float, m_init: float, m):
@@ -481,18 +487,19 @@ def ccdf_eval_many(params: ModelParams, ms) -> np.ndarray:
 
 
 def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
-    """params -> sum over the incomes ms of (log-log interpolated log CCDF - log_p)^2.
+    """The sum over the incomes ms of (log-log interpolated log CCDF - log_p)^2, as (log_tails, gram, h, c).
 
     For parameter sets with this m_init and m1 the ccdf_table grid is fixed,
     so the interpolated logs are A v, with v the log CCDF at the nodes and A
     fixed, two entries per row, and the sum is v.G.v - 2 h.v + c, G = A'A
-    tridiagonal and h = A' log_p, built here once.  The first node is m_init,
-    whose tail mass is the normalization integral, so v = log(tails) -
+    tridiagonal and h = A' log_p, built here once; gram(x) is G x for x of
+    shape (n,) or (n, k).  The first node is m_init, whose tail mass is the
+    normalization integral, so log_tails(params), v = log(tails) -
     log(tails[0]) from one _ccdf_nodes pass with c_lo = 1 and c_hi the
-    continuity ratio never derives the trial point's constants: a call is
-    one engine pass and O(grid) arithmetic.  Its rounding floor is ~1e-16
-    sum(log_p^2); a tail that underflows on the grid, a zero or infinite
-    integral, or a law whose domain ends below the grid's top or m1, gives inf.
+    continuity ratio, never derives the law's constants.  The sum's rounding
+    floor is ~1e-16 sum(log_p^2).  v is None (the sum inf) for a tail that
+    underflows on the grid, a zero or infinite integral, or a law whose
+    domain ends below the grid's top or m1.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
@@ -519,20 +526,24 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
     s = np.subtract(1.0, t, out=t)  # t is spent
     diag = np.bincount(j, s * s, n) + diag
     h = np.bincount(j, s * log_p, n) + h
-    c = float(log_p @ log_p)
 
-    def misfit(params: ModelParams) -> float:
+    def log_tails(params: ModelParams):
         if max(m_hi, m1) > _top(params):
-            return math.inf
+            return None
         tails, _ = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params))
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.log(tails)
             v -= v[0]
-        if not np.all(np.isfinite(v)):
-            return math.inf
-        return float(v @ (diag * v - 2.0 * h) + 2.0 * (off @ (v[:-1] * v[1:])) + c)
+        return v if np.all(np.isfinite(v)) else None
 
-    return misfit
+    def gram(x):
+        d, o = (diag, off) if x.ndim == 1 else (diag[:, None], off[:, None])
+        out = d * x
+        out[1:] += o * x[:-1]
+        out[:-1] += o * x[1:]
+        return out
+
+    return log_tails, gram, h, float(log_p @ log_p)
 
 
 def _climb(params: ModelParams, rungs):

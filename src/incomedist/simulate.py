@@ -73,7 +73,7 @@ class SimConfig(_Record):
 
     def __post_init__(self) -> None:
         for name in ("m_init", "m1", "dt"):
-            _positive(name, getattr(self, name))
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if not (self.m1 > self.m_init):
             raise ValueError(f"m1 must exceed m_init, got {self.m1}")
         for name, floor in (("n_steps", 0), ("n_paths", 1), ("seed", 0)):

@@ -74,22 +74,44 @@ def direct_misfit(ms, log_p, m_init, m1, n_grid):
     """Reference for model._log_ccdf_misfit: interpolate at every income and sum the squares.
 
     Like the misfit, it takes params with or without constants, and
-    normalizes them itself.
+    normalizes them itself.  Its `pieces` attribute holds the misfit's
+    (log_tails, gram, h, c), built from ccdf_table and an explicit sparse
+    interpolation matrix A from the table's log nodes to log ms:
+    gram(x) = A'(A x) and h = A' log_p.
     """
+    from scipy import sparse
+
     log_ms, m_hi = np.log(ms), float(np.max(ms)) * (1.0 + 1e-12)
+    grid = np.log(model._table_grid(m_init, m1, m_hi, n_grid))
+
+    def log_ccdf(params):
+        grid_m, grid_pi = ccdf_table(normalize(params), m_hi, n_grid)
+        assert np.array_equal(np.log(grid_m), grid)
+        with np.errstate(divide="ignore"):
+            return np.log(grid_pi)
 
     def misfit(params):
-        grid_m, grid_pi = ccdf_table(normalize(params), m_hi, n_grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resid = np.interp(log_ms, np.log(grid_m), np.log(grid_pi)) - log_p
+        with np.errstate(invalid="ignore"):
+            resid = np.interp(log_ms, grid, log_ccdf(params)) - log_p
         return float(resid @ resid)
 
+    def log_tails(params):
+        v = log_ccdf(params)
+        return v if np.all(np.isfinite(v)) else None
+
+    j = np.clip(np.searchsorted(grid, log_ms, side="right") - 1, 0, grid.size - 2)
+    w = (log_ms - grid[j]) / (grid[j + 1] - grid[j])
+    rows = np.arange(log_ms.size)
+    A = sparse.csr_matrix((np.concatenate([1.0 - w, w]), (np.tile(rows, 2), np.concatenate([j, j + 1]))),
+                          shape=(log_ms.size, grid.size))
+    misfit.pieces = (log_tails, lambda x: A.T @ (A @ x), A.T @ log_p, float(log_p @ log_p))
     return misfit
 
 
 def spoil_one(draw, fields: dict) -> dict:
-    """fields, or half the time a copy with one of them set to 0, -1, inf or NaN."""
+    """fields, or half the time a copy with one of them set to 0, -1, inf, NaN, True or its np.float32."""
     bad = draw(st.one_of(st.none(), st.sampled_from(list(fields))))
     if bad is None:
         return fields
-    return dict(fields, **{bad: draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))})
+    value = draw(st.sampled_from([0.0, -1.0, math.inf, math.nan, True, np.float32(fields[bad])]))
+    return dict(fields, **{bad: value})

@@ -40,6 +40,7 @@ from incomedist import (
     normalize,
     preset_params,
     run_ensemble,
+    sample_incomes,
 )
 from incomedist.cli import main
 
@@ -574,27 +575,33 @@ def test_eval_and_fuse_bytes_match_per_row_output(tmp_path, params08):
     assert out.read_bytes() == expect.encode("utf-8")
 
 
-def test_import_and_eval_leave_the_optimizer_unloaded(tmp_path, params08):
-    # scipy.optimize is imported on first use: only fits pay for it
-    pfile = _params_json(tmp_path, params08)
+def test_cli_pipeline_runs_with_scipy_blocked(tmp_path, params08):
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, ccdf -> fit -> stats -> eval -> simulate all exit 0
+    incomes = tmp_path / "incomes.csv"
+    _income_csv(incomes, sample_incomes(params08, 20000, seed=1))
+    out = {name: str(tmp_path / name) for name in ("ccdf.csv", "fit.json", "stats.json", "e.csv", "sim.csv")}
+    commands = [
+        ["ccdf", str(incomes), "--output", out["ccdf.csv"]],
+        ["fit", out["ccdf.csv"], "--output", out["fit.json"]],
+        ["stats", "--params", out["fit.json"], "--incomes", str(incomes), "--output", out["stats.json"]],
+        ["eval", out["fit.json"], "--output", out["e.csv"]],
+        ["simulate", out["fit.json"], "--n-paths", "200", "--n-steps", "50", "--seed", "1",
+         "--output", out["sim.csv"]],
+    ]
     code = (
-        "import sys, incomedist\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # every import of scipy or a submodule raises ImportError\n"
         "from incomedist import cli\n"
-        "p = incomedist.preset_params('2008')\n"
-        "assert 'scipy.optimize' not in sys.modules, 'import'\n"
         "assert 'subprocess' not in sys.modules, 'import loads subprocess'\n"
-        f"assert cli.main(['eval', {str(pfile)!r}, '--output', {str(tmp_path / 'e.csv')!r}, '--quiet']) == 0\n"
-        "assert 'scipy.optimize' not in sys.modules, 'eval'\n"
-        "incomedist.quantile(p, 0.5)\n"
-        "incomedist.compute_stats(p)\n"
-        "assert 'scipy.optimize' not in sys.modules, 'quantile and stats'\n"
-        "incomedist.fit_full(incomedist.rank_ccdf(incomedist.sample_incomes(p, 20000, seed=1)), p.m_init)\n"
-        "assert 'scipy.optimize' in sys.modules, 'fit'\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv + ['--quiet']) == 0, argv[0]\n"
     )
     src = os.path.dirname(os.path.dirname(incomedist.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert all(os.path.getsize(path) > 0 for path in out.values())
 
 
 # ------------------------------------------- property: documented exit codes

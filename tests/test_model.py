@@ -343,7 +343,7 @@ def test_m1_past_the_domain_top_is_value_error():
 
 def test_log_ccdf_misfit_is_inf_past_the_domain_top():
     base = dict(alpha=1.5, alpha1=0.5, m1=1e-105, m_init=1e-120)
-    misfit = _log_ccdf_misfit(np.array([1e-120, 1e-110, 1e200]), np.log([1.0, 0.5, 1e-100]), 1e-120, 1e-105, 50)
+    misfit = _summed(np.array([1e-120, 1e-110, 1e200]), np.log([1.0, 0.5, 1e-100]), 1e-120, 1e-105, 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert misfit(ModelParams(T=1e-110, T1=1e-110, m0=1e-110, **base)) == math.inf  # top ~4.5e197
@@ -834,10 +834,21 @@ def test_normalization_contract_holds_inside_its_domain(k):
 # ------------------------------------------------ refinement misfit
 
 
+def _summed(*args):
+    """params -> the misfit v.G.v - 2 h.v + c from _log_ccdf_misfit(*args)'s pieces, inf where v is None."""
+    log_tails, gram, h, c = _log_ccdf_misfit(*args)
+
+    def misfit(params):
+        v = log_tails(params)
+        return math.inf if v is None else float(v @ (gram(v) - 2.0 * h)) + c
+
+    return misfit
+
+
 def _misfit_pair(params, ms, log_p, n_grid=800):
     """The quadratic-form misfit and the direct O(n) sum, built for the same data."""
     args = (ms, log_p, params.m_init, params.m1, n_grid)
-    return _log_ccdf_misfit(*args), direct_misfit(*args)
+    return _summed(*args), direct_misfit(*args)
 
 
 def _in_box(params, t, f):
@@ -877,7 +888,7 @@ def test_log_ccdf_misfit_needs_no_constants(year, t, f):
     # must neither derive them (an engine pass more) nor depend on them
     params = preset_params(year)
     data = noiseless_ccdf(params, 20000)
-    fast = _log_ccdf_misfit(data.incomes, np.log(data.p), params.m_init, params.m1, 800)
+    fast = _summed(data.incomes, np.log(data.p), params.m_init, params.m1, 800)
     for normalized in (params, _in_box(params, t, f)):
         bare = replace(normalized)  # a new law: its constants are not derived yet
         assert math.isfinite(fast(bare))
