@@ -264,11 +264,9 @@ def rank_ccdf(incomes) -> EmpiricalCCDF:
     Tied incomes are equal values, so they receive consecutive ranks in any
     order.  Output size equals input size.
     """
-    arr = _incomes_array(incomes)
+    arr = _incomes_array(incomes)  # EmpiricalCCDF checks the values
     if arr.size == 0:
         raise ValueError("need at least one record")
-    if not _positive_finite(arr):
-        raise ValueError("incomes must be positive and finite")
     n = arr.size
     ranks = np.arange(1, n + 1, dtype=float)
     return EmpiricalCCDF(incomes=-np.sort(-arr), p=ranks / (n + 1.0))
@@ -323,21 +321,18 @@ def fuse(survey, rich_incomes, factor: float | None = None, *,
          cut: float | None = None, top_k: int = 6) -> np.ndarray:
     """Concatenate survey incomes with factor-scaled rich-list incomes.
 
-    When factor is None it is derived by find_scale_factor from the survey's
-    high-income segment: incomes above `cut` if given, else the top_k survey
-    points.  An empty rich list leaves the survey unchanged.
+    A given factor must be positive and finite; None derives it by
+    find_scale_factor from the survey's high-income segment (incomes above
+    `cut` if given, else the top_k survey points), or 1 for an empty rich list.
     """
+    factor = None if factor is None else _positive("factor", factor)
     survey_arr = _incomes_array(survey)
     if survey_arr.size == 0:
         raise ValueError("survey must be non-empty")
     rich_arr = _incomes_array(rich_incomes)
-    if rich_arr.size == 0:
-        fused = survey_arr.copy()
-    else:
-        if factor is None:
-            factor = _overlap_factor(survey_arr, rich_arr, cut=cut, top_k=top_k)
-        _positive("factor", factor)
-        fused = np.concatenate([survey_arr, factor * rich_arr])
+    if factor is None:
+        factor = _overlap_factor(survey_arr, rich_arr, cut=cut, top_k=top_k) if rich_arr.size else 1.0
+    fused = np.concatenate([survey_arr, factor * rich_arr])
     if not _positive_finite(fused):
         raise ValueError("incomes must be positive and finite")
     return fused

@@ -62,7 +62,6 @@ from incomedist.empirics import EmpiricalCCDF, _incomes_array, _positive_finite
 from incomedist.model import (
     ModelParams,
     ParetoFit,
-    TailDivergenceError,
     _log_ccdf_misfit,
     _positive,
     _Record,
@@ -433,7 +432,7 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     normalized optimum, or the input unchanged when no finite score improves on it.
     """
     tied = params.T1 == params.T
-    log_tails, gram, h, _ = _log_ccdf_misfit(ccdf.incomes, np.log(ccdf.p), params.m_init, params.m1, 800)
+    log_tails, gram, h = _log_ccdf_misfit(ccdf.incomes, np.log(ccdf.p), params.m_init, params.m1)
     lo = np.array([0.0, math.log(params.m_init / params.m0)])
     hi = np.array([math.log(1.5), math.log(params.m1 / params.m0)])
 
@@ -472,8 +471,9 @@ def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:
     Steps: crossover search, whose winning segments give T/alpha/alpha1
     (T1 = T imposed), model assembly and normalization, then the global
     joint refinement of T and m0.  The segment breaks stay in the report as
-    m0_hat and m1_hat.
+    m0_hat and m1_hat.  m_init must be positive and finite (ValueError).
     """
+    m_init = _positive("m_init", m_init)
     res = _search_segments(ccdf)
     m0_hat, m1_hat = res["m0"], res["m1"]
     slope1, slope2, slope3 = res["slopes"]
@@ -487,7 +487,7 @@ def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:
             T=T_bg, T1=T_bg, alpha=alpha, alpha1=alpha1,
             m0=m0_hat, m1=m1_hat, m_init=m_init,
         ))
-    except (TailDivergenceError, ValueError) as exc:
+    except ValueError as exc:  # TailDivergenceError among them
         raise EstimationError(f"segment fits give no valid model: {exc}") from exc
     refined = refine_temperature(ccdf, params)
     return FitReport(

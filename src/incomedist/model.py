@@ -101,6 +101,7 @@ _QUANTILE_RUNGS = 2.0 ** np.arange(-16.0, 28.0, 0.5)
 # ccdf_eval_many's exact pass takes requests of up to this many distinct
 # incomes, and a larger one interpolates on a ccdf_table of this many nodes.
 _TABLE_GRID = 2000
+_MISFIT_GRID = 800  # the nodes of the fit's misfit grid (_log_ccdf_misfit)
 # The sampler's table edge: decades up from 10 m1 in one pass.
 _EDGE_DECADES = 24
 # Incomes searched for quantiles and table edges stop here, or at _top below
@@ -178,23 +179,17 @@ class LangevinCoeffs(_Record):
 _COEFF_KEYS = tuple(f.name for f in fields(LangevinCoeffs))
 
 
-def _numbers(obj, keys, kind=float, name="JSON") -> dict:
-    """`keys` of the JSON object `obj` as floats (kind=int: counts >= 0); a ValueError names a bad key."""
+def _numbers(obj, keys, name="JSON") -> dict:
+    """`keys` of the JSON object `obj`, unconverted (records check values); a ValueError names a bad key."""
     if not isinstance(obj, dict):
         raise ValueError(f"{name} is not a JSON object")
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"{name} missing keys: {missing}")
-    values = {}
-    for k in keys:
-        v = obj[k]
-        try:  # a bool is an int to Python, and a string converts; neither is a JSON number
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{v!r} is not a number")
-            values[k] = _count(k, v, 0) if kind is int else float(v)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{name} key {k!r}: {exc}") from None
-    return values
+    for k in keys:  # a bool is an int to Python, and a string converts; neither is a JSON number
+        if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
+            raise ValueError(f"{name} key {k!r}: {obj[k]!r} is not a number")
+    return {k: obj[k] for k in keys}
 
 
 @dataclass(frozen=True)
@@ -475,7 +470,7 @@ def ccdf_eval_many(params: ModelParams, ms) -> np.ndarray:
     """
     arr = _incomes(params, ms, "ms")
     if arr.size == 0:
-        return np.empty(0)
+        return np.empty(arr.shape)
     nodes = np.unique(arr)
     if nodes.size <= _TABLE_GRID:
         tail, _ = _ccdf_nodes(params, nodes, params.c_lo, params.c_hi)
@@ -486,26 +481,26 @@ def ccdf_eval_many(params: ModelParams, ms) -> np.ndarray:
         return np.exp(np.interp(np.log(arr), np.log(grid_m), np.log(grid_pi)))
 
 
-def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
-    """The sum over the incomes ms of (log-log interpolated log CCDF - log_p)^2, as (log_tails, gram, h, c).
+def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
+    """The sum over the incomes ms of (log-log interpolated log CCDF - log_p)^2, as (log_tails, gram, h).
 
-    For parameter sets with this m_init and m1 the ccdf_table grid is fixed,
-    so the interpolated logs are A v, with v the log CCDF at the nodes and A
-    fixed, two entries per row, and the sum is v.G.v - 2 h.v + c, G = A'A
-    tridiagonal and h = A' log_p, built here once; gram(x) is G x for x of
-    shape (n,) or (n, k).  The first node is m_init, whose tail mass is the
-    normalization integral, so log_tails(params), v = log(tails) -
-    log(tails[0]) from one _ccdf_nodes pass with c_lo = 1 and c_hi the
-    continuity ratio, never derives the law's constants.  The sum's rounding
-    floor is ~1e-16 sum(log_p^2).  v is None (the sum inf) for a tail that
-    underflows on the grid, a zero or infinite integral, or a law whose
-    domain ends below the grid's top or m1.
+    For parameter sets with this m_init and m1 the _MISFIT_GRID-node
+    ccdf_table grid is fixed, so the interpolated logs are A v, with v the
+    log CCDF at the nodes and A fixed, two entries per row, and the sum is
+    v.G.v - 2 h.v + log_p.log_p, G = A'A tridiagonal and h = A' log_p, built
+    here once; gram(x) is G x for x of shape (n,) or (n, k).  The first node
+    is m_init, whose tail mass is the normalization integral, so
+    log_tails(params), v = log(tails) - log(tails[0]) from one _ccdf_nodes
+    pass with c_lo = 1 and c_hi the continuity ratio, never derives the
+    law's constants.  The sum's rounding floor is ~1e-16 sum(log_p^2).  v is
+    None (the sum inf) for a tail that underflows on the grid, a zero or
+    infinite integral, or a law whose domain ends below the grid's top or m1.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
         raise ValueError("all incomes must be >= m_init")
     m_hi = float(arr.max()) * (1.0 + 1e-12)  # as in ccdf_eval_many
-    nodes = _table_grid(m_init, m1, m_hi, n_grid)
+    nodes = _table_grid(m_init, m1, m_hi, _MISFIT_GRID)
     # in place: at most four arrays of len(ms) are live at once, log_p among them
     t, grid = np.log(arr), np.log(nodes)
     n = grid.size
@@ -543,7 +538,7 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float, n_grid: int):
         out[:-1] += o * x[1:]
         return out
 
-    return log_tails, gram, h, float(log_p @ log_p)
+    return log_tails, gram, h
 
 
 def _climb(params: ModelParams, rungs):

@@ -88,10 +88,9 @@ class SimConfig(_Record):
     def from_json(cls, text: str) -> "SimConfig":
         """A config from the object `to_json` writes; unknown keys are ignored."""
         obj = json.loads(text)
-        floats = _numbers(obj, ("m1", "m_init", "dt"), name="sim-config JSON")
-        ints = _numbers(obj, ("n_steps", "n_paths", "seed"), int, name="sim-config JSON")
+        values = _numbers(obj, ("m1", "m_init", "dt", "n_steps", "n_paths", "seed"), name="sim-config JSON")
         coeffs = _numbers(obj.get("coeffs"), _COEFF_KEYS, name="sim-config coeffs")
-        return cls(coeffs=LangevinCoeffs(**coeffs), **floats, **ints)
+        return cls(coeffs=LangevinCoeffs(**coeffs), **values)
 
 
 @dataclass(frozen=True)

@@ -70,17 +70,18 @@ def ccdf08_noiseless(params08):
     return noiseless_ccdf(params08, 20000)
 
 
-def direct_misfit(ms, log_p, m_init, m1, n_grid):
+def direct_misfit(ms, log_p, m_init, m1):
     """Reference for model._log_ccdf_misfit: interpolate at every income and sum the squares.
 
     Like the misfit, it takes params with or without constants, and
     normalizes them itself.  Its `pieces` attribute holds the misfit's
-    (log_tails, gram, h, c), built from ccdf_table and an explicit sparse
-    interpolation matrix A from the table's log nodes to log ms:
-    gram(x) = A'(A x) and h = A' log_p.
+    (log_tails, gram, h), built from ccdf_table on the misfit's
+    model._MISFIT_GRID nodes and an explicit sparse interpolation matrix A
+    from the table's log nodes to log ms: gram(x) = A'(A x) and h = A' log_p.
     """
     from scipy import sparse
 
+    n_grid = model._MISFIT_GRID
     log_ms, m_hi = np.log(ms), float(np.max(ms)) * (1.0 + 1e-12)
     grid = np.log(model._table_grid(m_init, m1, m_hi, n_grid))
 
@@ -104,7 +105,7 @@ def direct_misfit(ms, log_p, m_init, m1, n_grid):
     rows = np.arange(log_ms.size)
     A = sparse.csr_matrix((np.concatenate([1.0 - w, w]), (np.tile(rows, 2), np.concatenate([j, j + 1]))),
                           shape=(log_ms.size, grid.size))
-    misfit.pieces = (log_tails, lambda x: A.T @ (A @ x), A.T @ log_p, float(log_p @ log_p))
+    misfit.pieces = (log_tails, lambda x: A.T @ (A @ x), A.T @ log_p)
     return misfit
 
 

@@ -32,6 +32,7 @@ from incomedist import (
     ccdf_eval_many,
     class_fractions,
     effective_to_coeffs,
+    fit_full,
     forbes_incomes,
     fuse,
     load_incomes,
@@ -157,6 +158,10 @@ def test_fuse_empty_rich_needs_factor(tmp_path, capsys):
     out = tmp_path / "fused.csv"
     assert main(["fuse", str(survey), str(wealth), "--output", str(out)]) == 2
     assert "empty rich" in capsys.readouterr().err
+    for bad in ("-1", "nan"):  # each exited 0 and printed its factor
+        assert main(["fuse", str(survey), str(wealth), "--factor", bad, "--output", str(out)]) == 2
+        assert "factor must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["fuse", str(survey), str(wealth), "--factor", "1",
                  "--output", str(out), "--quiet"]) == 0
     rows = [float(s) for s in out.read_text(encoding="utf-8").splitlines()[1:]]
@@ -176,6 +181,22 @@ def test_fit_exact_exponential_is_estimation_failure(tmp_path, capsys):
     assert main(["fit", str(inp), "--output", str(tmp_path / "fit.json")]) == 3
     assert "estimation failed" in capsys.readouterr().err
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("m_init, code, message", [
+    ("0", 2, "m_init must be positive and finite"), ("-1", 2, "m_init must be positive and finite"),
+    ("nan", 2, "m_init must be positive and finite"), ("inf", 2, "m_init must be positive and finite"),
+    ("1e9", 3, "segment fits give no valid model")])
+def test_fit_checks_m_init_before_the_fit(tmp_path, capsys, ccdf08_noiseless, m_init, code, message):
+    # a bad floor is an input error (each exited 3); one past the segment breaks is an estimation failure
+    data, out = tmp_path / "ccdf.csv", tmp_path / "fit.json"
+    ccdf08_noiseless.to_csv(data)
+    assert main(["fit", str(data), "--m-init", m_init, "--output", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    if code == 2:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            fit_full(ccdf08_noiseless, float(m_init))
 
 
 def test_fit_deterministic_bytes(tmp_path, ccdf08_noiseless):
@@ -296,18 +317,22 @@ def test_simulate_nan_initial_exit2_no_output(tmp_path, params08, capsys):
 
 
 def test_simulate_coefficient_input(tmp_path, capsys):
-    cfile = tmp_path / "coeffs.json"
-    _write(cfile, json.dumps({"A0": 496202.5316455696, "a": 1.902,
-                              "A0_hi": 496202.5316455696, "a_hi": -0.21,
-                              "B0": 1.96e10, "b": 1.0}))
-    out = tmp_path / "s.csv"
-    base = ["simulate", str(cfile), "--n-steps", "50", "--n-paths", "20",
-            "--output", str(out), "--quiet"]
-    assert main(base) == 2  # threshold location is not part of the coefficients
-    assert "--m1" in capsys.readouterr().err
-    assert main(base + ["--m1", "4e5"]) == 0
-    assert capsys.readouterr().out.startswith("ks: ")
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 21
+    for coeffs, m1, ks in [
+        ({"A0": 496202.5316455696, "a": 1.902, "A0_hi": 496202.5316455696, "a_hi": -0.21,
+          "B0": 1.96e10, "b": 1.0}, "4e5", "ks: "),
+        # A0 = 0: no temperature B0/A0, so the paths start at m_init and no law normalizes
+        ({"A0": 0, "a": 1.9, "A0_hi": 0, "a_hi": -0.2, "B0": 1, "b": 1}, "5",
+         "ks: undefined (no normalizable equilibrium)\n")]:
+        cfile = tmp_path / "coeffs.json"
+        _write(cfile, json.dumps(coeffs))
+        out = tmp_path / "s.csv"
+        base = ["simulate", str(cfile), "--n-steps", "50", "--n-paths", "20",
+                "--output", str(out), "--quiet"]
+        assert main(base) == 2  # threshold location is not part of the coefficients
+        assert "--m1" in capsys.readouterr().err
+        assert main(base + ["--m1", m1]) == 0
+        assert capsys.readouterr().out.startswith(ks)
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 21
 
 
 # ---------------------------------------------------------------- stats
@@ -400,6 +425,9 @@ _MALFORMED = {
     "n_steps-true": json.dumps(dict(_CONFIG08, n_steps=True)),
     "seed-fraction": json.dumps(dict(_CONFIG08, seed=2.7)),
     "n_paths-fraction": json.dumps(dict(_CONFIG08, n_paths=1.5)),
+    # a JSON integer past the float range
+    "T-past-float": json.dumps(dict(json.loads(_P08.to_json()), T=10**400)),
+    "m1-past-float": json.dumps(dict(_CONFIG08, m1=10**400)),
 }
 
 

@@ -55,6 +55,10 @@ def test_ccdf_validation():
         EmpiricalCCDF(incomes=np.array([2.0, 1.0]), p=np.array([0.6, 0.3]))  # p not increasing
     with pytest.raises(ValueError):
         EmpiricalCCDF(incomes=np.array([2.0, -1.0]), p=np.array([0.3, 0.6]))
+    with pytest.raises(ValueError, match="equal-length"):
+        EmpiricalCCDF(incomes=np.array([2.0, 1.0]), p=np.array([0.3]))
+    with pytest.raises(ValueError, match="flat sequence"):
+        rank_ccdf(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -122,6 +126,12 @@ def test_load_wealth_pairs(tmp_path):
     with pytest.raises(ParseError) as err:
         load_wealth_pairs(badval)
     assert err.value.line == 2 and err.value.column == 3
+
+    short = tmp_path / "s.csv"
+    short.write_text("id,wealth_prev,wealth_curr\nA,1.0,2.0\nB,1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected 3 fields, got 2") as err:
+        load_wealth_pairs(short)
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize("row, column", [("a,-1,2", 2), ("a,1,-2", 3), ("a,nan,2", 2),
@@ -203,6 +213,16 @@ def test_fuse_with_explicit_factor_is_concatenation():
 def test_fuse_empty_rich_returns_survey():
     fused = fuse([3.0, 1.0], [])
     assert sorted(fused.tolist()) == [1.0, 3.0]
+    with pytest.raises(ValueError, match="^survey must be non-empty$"):
+        fuse([], [30.0])
+
+
+@pytest.mark.parametrize("factor", [-1.0, np.nan, 0.0, np.inf, True])
+@pytest.mark.parametrize("survey, rich", [([3.0, 1.0], []), ([3.0, 1.0], [30.0]), ([], [])])
+def test_fuse_checks_a_given_factor_first(survey, rich, factor):
+    # an empty rich list accepted any factor, and an empty survey was reported first
+    with pytest.raises(ValueError, match="^factor must be positive and finite"):
+        fuse(survey, rich, factor=factor)
 
 
 def test_fuse_derives_rule_based_factor():

@@ -304,7 +304,7 @@ def test_refine_is_no_worse_than_nelder_mead(params08, ccdf08_noiseless, data):
         start = normalize(replace(report.params, T=report.T_bg, T1=report.T_bg, m0=report.m0_hat))
     else:
         ccdf, start = ccdf08_noiseless, params08
-    misfit = direct_misfit(ccdf.incomes, np.log(ccdf.p), start.m_init, start.m1, 800)
+    misfit = direct_misfit(ccdf.incomes, np.log(ccdf.p), start.m_init, start.m1)
 
     def at(u):
         T = start.T * np.exp(u[0])

@@ -183,6 +183,7 @@ def test_ccdf_eval_many_is_exact_up_to_n_grid_distinct_incomes(year, monkeypatch
     got2 = ccdf_eval_many(params, square)
     assert got2.shape == (6, 8)
     np.testing.assert_allclose(got2, scalar[:48].reshape(6, 8), rtol=1e-13, atol=0.0)
+    assert ccdf_eval_many(params, np.empty((0, 3))).shape == (0, 3)  # an empty one's too
     # exactly n_grid distinct incomes, each twice, still take the exact pass
     monkeypatch.setattr(model, "_TABLE_GRID", 60)
     grid = np.geomspace(params.m_init, 100 * params.m1, 60)
@@ -343,7 +344,7 @@ def test_m1_past_the_domain_top_is_value_error():
 
 def test_log_ccdf_misfit_is_inf_past_the_domain_top():
     base = dict(alpha=1.5, alpha1=0.5, m1=1e-105, m_init=1e-120)
-    misfit = _summed(np.array([1e-120, 1e-110, 1e200]), np.log([1.0, 0.5, 1e-100]), 1e-120, 1e-105, 50)
+    misfit = _summed(np.array([1e-120, 1e-110, 1e200]), np.log([1.0, 0.5, 1e-100]), 1e-120, 1e-105)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert misfit(ModelParams(T=1e-110, T1=1e-110, m0=1e-110, **base)) == math.inf  # top ~4.5e197
@@ -601,6 +602,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         # threshold below the crossover scale
         ModelParams(T=4e4, T1=4e4, alpha=2.5, alpha1=0.8, m0=4e5, m1=3e5, m_init=0.01)
+    # a JSON integer past the float range: the record's own rule names it
+    text = json.dumps(dict(T=10**400, T1=4e4, alpha=2.5, alpha1=0.8, m0=1e5, m1=3e5, m_init=0.01))
+    with pytest.raises(ValueError, match="^T must be positive and finite, got 1000"):
+        ModelParams.from_json(text)
 
 
 def test_params_json_round_trip(params08):
@@ -611,6 +616,11 @@ def test_params_json_round_trip(params08):
     back = ModelParams.from_json(text)
     assert back == params08 and "_constants" in vars(back)  # derived at load
     assert back.c_lo == pytest.approx(params08.c_lo, rel=1e-12)
+
+
+def test_preset_params_names_the_bundled_waves():
+    with pytest.raises(KeyError, match=r"no preset for '1999'; have \['2006', '2008'\]"):
+        preset_params("1999")
 
 
 def test_coeffs_json_round_trip():
@@ -834,9 +844,10 @@ def test_normalization_contract_holds_inside_its_domain(k):
 # ------------------------------------------------ refinement misfit
 
 
-def _summed(*args):
-    """params -> the misfit v.G.v - 2 h.v + c from _log_ccdf_misfit(*args)'s pieces, inf where v is None."""
-    log_tails, gram, h, c = _log_ccdf_misfit(*args)
+def _summed(ms, log_p, m_init, m1):
+    """params -> v.G.v - 2 h.v + log_p.log_p from _log_ccdf_misfit's pieces, inf where v is None."""
+    log_tails, gram, h = _log_ccdf_misfit(ms, log_p, m_init, m1)
+    c = float(log_p @ log_p)
 
     def misfit(params):
         v = log_tails(params)
@@ -845,9 +856,9 @@ def _summed(*args):
     return misfit
 
 
-def _misfit_pair(params, ms, log_p, n_grid=800):
+def _misfit_pair(params, ms, log_p):
     """The quadratic-form misfit and the direct O(n) sum, built for the same data."""
-    args = (ms, log_p, params.m_init, params.m1, n_grid)
+    args = (ms, log_p, params.m_init, params.m1)
     return _summed(*args), direct_misfit(*args)
 
 
@@ -888,7 +899,7 @@ def test_log_ccdf_misfit_needs_no_constants(year, t, f):
     # must neither derive them (an engine pass more) nor depend on them
     params = preset_params(year)
     data = noiseless_ccdf(params, 20000)
-    fast = _summed(data.incomes, np.log(data.p), params.m_init, params.m1, 800)
+    fast = _summed(data.incomes, np.log(data.p), params.m_init, params.m1)
     for normalized in (params, _in_box(params, t, f)):
         bare = replace(normalized)  # a new law: its constants are not derived yet
         assert math.isfinite(fast(bare))
@@ -923,4 +934,4 @@ def test_log_ccdf_misfit_is_inf_where_the_tail_underflows(params08):
         warnings.simplefilter("error")
         assert fast(cold) == math.inf
     with pytest.raises(ValueError, match="m_init"):
-        _log_ccdf_misfit(ms * 0.0 + 0.5 * params08.m_init, np.zeros(3), params08.m_init, params08.m1, 800)
+        _log_ccdf_misfit(ms * 0.0 + 0.5 * params08.m_init, np.zeros(3), params08.m_init, params08.m1)

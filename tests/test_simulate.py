@@ -53,6 +53,8 @@ def test_config_validation():
         _config(n_steps=-1)
     with pytest.raises(ValueError):
         _config(m1=0.005)
+    with pytest.raises(ValueError, match="samples length must equal n_paths"):
+        Ensemble(samples=np.ones(3), config=_config(n_paths=4), n_reflections=0)
 
 
 def test_config_json_round_trip():
@@ -66,6 +68,15 @@ def test_config_rejects_what_the_json_reader_rejects(name, value):
     # each was accepted, and all but m1 then failed in numpy at run time
     with pytest.raises(ValueError, match=f"^{name} must"):
         _config(**{name: value})
+
+
+@pytest.mark.parametrize("name, value, floor", [("n_paths", 1.5, 1), ("n_paths", 0, 1), ("n_steps", 2.5, 0),
+                                                ("seed", -1, 0), ("seed", 2.7, 0)])
+def test_config_json_counts_state_the_record_floor(name, value, floor):
+    # the JSON reader leaves the count rule to SimConfig, whose floor is the one stated
+    text = json.dumps(dict(json.loads(_config().to_json()), **{name: value}))
+    with pytest.raises(ValueError, match=f"^{name} must be >= {floor} and an integer, got {value!r}$"):
+        SimConfig.from_json(text)
 
 
 def test_config_keeps_counts_as_ints():
@@ -348,3 +359,5 @@ def test_ks_distance_sanity(params08):
     samp = sample_incomes(params08, 5000, seed=2)
     assert ks_distance(samp, params08) < 0.025
     assert ks_distance(np.full(100, 1e6), params08) > 0.9
+    with pytest.raises(ValueError, match="need at least one sample"):
+        ks_distance([], params08)
