@@ -288,15 +288,16 @@ def forbes_incomes(pairs) -> np.ndarray:
 def find_scale_factor(survey_high, rich_list) -> float:
     """Factor s with min(s * rich) = min(survey_high), the min-alignment rule.
 
-    Both lists must be non-empty, with every income positive and finite
-    (ValueError).  Warns (OverlapWarning) when the scaled rich list fails to
-    reach the top of the survey segment, i.e. the overlap is only partial.
+    Both lists must be non-empty, with every income positive and finite,
+    and so must s be (ValueError).  Warns (OverlapWarning) when the scaled
+    rich list fails to reach the top of the survey segment, i.e. the overlap
+    is only partial.
     """
     hi = _incomes_array(survey_high)
     rich = _incomes_array(rich_list)
     if not (_positive_finite(hi) and _positive_finite(rich)):
         raise ValueError("both income lists must be non-empty, positive and finite")
-    s = float(hi.min() / rich.min())
+    s = _positive("factor", float(hi.min()) / float(rich.min()))  # Python floats: no RuntimeWarning
     if s * rich.max() < hi.max():
         warnings.warn(
             f"scaled rich maximum {s * rich.max():.6g} below survey maximum "

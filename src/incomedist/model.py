@@ -229,7 +229,8 @@ class ModelParams(_Record):
             raise TailDivergenceError(f"tail mass diverges for alpha1 <= 0 (got alpha1={self.alpha1})")
         ratio = continuity_ratio(self)
         _incomes(self, self.m1, "m1")  # a node of the pass below
-        tail, _ = _ccdf_nodes(self, [self.m_init], 1.0, ratio)
+        with np.errstate(over="ignore"):  # an integral past the floats is inf, rejected below
+            tail, _ = _ccdf_nodes(self, [self.m_init], 1.0, ratio)
         raw = float(tail[0])
         c_lo, c_hi = (1.0 / raw, ratio / raw) if raw > 0.0 else (math.inf, math.inf)
         if not (0.0 < c_lo < math.inf and c_hi < math.inf):  # c_hi may underflow to 0
@@ -443,8 +444,8 @@ def ccdf_table(params: ModelParams, m_hi: float, n_grid: int = _TABLE_GRID):
     a shared set of evaluation points, not an approximation scheme: every
     interval between grid points is integrated with the same K21 rule on
     graded pieces, all in one array pass, so each value is as accurate as a
-    scalar ccdf_eval; m1 is inserted as a node so no interval straddles the
-    branch switch.
+    scalar ccdf_eval; m1 is returned as a node where it lies inside, so
+    interpolation on the table has a node at the branch switch.
     """
     _incomes(params, m_hi, "m_hi")
     ms = _table_grid(params.m_init, params.m1, m_hi, _count("n_grid", n_grid, 2))
@@ -525,8 +526,8 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
     def log_tails(params: ModelParams):
         if max(m_hi, m1) > _top(params):
             return None
-        tails, _ = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            tails, _ = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params))
             v = np.log(tails)
             v -= v[0]
         return v if np.all(np.isfinite(v)) else None

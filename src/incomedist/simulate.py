@@ -37,6 +37,7 @@ from incomedist.model import (
 
 __all__ = [
     "StabilityError",
+    "stability_bound",
     "SimConfig",
     "Ensemble",
     "drift",

@@ -17,7 +17,8 @@ settings.load_profile("ci")
 # Laws at the far end of the validated domain, from fuzzes over the ranges of
 # the CLI property (test_cli._accepted_params).  FAR's median lies inside the
 # float range; those of DROPPED and UNDERFLOW lie beyond the domain's top,
-# m0 / (smallest normal float); C_HI_OVERFLOW cannot be normalized.
+# m0 / (smallest normal float); C_HI_OVERFLOW and INTEGRAL_OVERFLOW cannot be
+# normalized.
 FAR = dict(T=1e-17, T1=1e-17, alpha=1.0, alpha1=0.01, m0=1e-17, m1=1e-16, m_init=1e-18)
 # k1 = m0/T1 ~ 1.5e-88: far out, k dw underflowed to 0 and a pass dropped the interval
 DROPPED = dict(T=1.377448655841592e-58, T1=1.1899384894629924e26, alpha=0.03815610677132633,
@@ -31,6 +32,9 @@ UNDERFLOW = dict(T=0.001418465287965617, T1=1.2997503623843377e-29, alpha=8.8802
 C_HI_OVERFLOW = dict(T=35907.32257157631, T1=0.04852822822820377, alpha=7.482657657659162e-06,
                      alpha1=90.50983225139966, m0=3.2549532645571036e-72, m1=1.7073356268773555e-69,
                      m_init=4.973229696596593e-76)
+# the closing series' 1/alpha1 ~ 4.5e307 times m0 overflows the raw integral to inf
+INTEGRAL_OVERFLOW = dict(T=1e9, T1=1e9, alpha=0.01, alpha1=2.2250738585072014e-308, m0=1e6, m1=1e6,
+                         m_init=1.0)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ factor/ks report lines that scripts are expected to scrape.
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import incomedist
-from conftest import C_HI_OVERFLOW, DROPPED, FAR, UNDERFLOW, noiseless_ccdf
+from conftest import C_HI_OVERFLOW, DROPPED, FAR, INTEGRAL_OVERFLOW, UNDERFLOW, noiseless_ccdf
 from incomedist import (
     ClassStats,
     EmpiricalCCDF,
@@ -632,6 +633,20 @@ def test_cli_pipeline_runs_with_scipy_blocked(tmp_path, params08):
     assert all(os.path.getsize(path) > 0 for path in out.values())
 
 
+def test_the_package_exports_exactly_its_modules_public_names():
+    # each module's __all__ is the one list of its public names: the package
+    # binds every one of them to the module's own object, and nothing else
+    from incomedist import empirics, estimate, inequality, model, presets, simulate
+
+    modules = (empirics, estimate, inequality, model, presets, simulate)
+    public = {name for name, value in vars(incomedist).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(incomedist, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
 # ------------------------------------------- property: documented exit codes
 
 
@@ -692,6 +707,7 @@ def test_stats_of_a_tail_past_the_float_range(tmp_path, normal_pieces):
 @example(DROPPED)  # its median read 2.6e-50, where the CCDF is 0.9746
 @example(UNDERFLOW)
 @example(C_HI_OVERFLOW)  # its class fractions read NaN
+@example(INTEGRAL_OVERFLOW)  # its raw integral warned as it overflowed
 @example(FAR)
 def test_every_accepted_law_has_a_true_median_or_a_value_error(obj):
     with warnings.catch_warnings():
@@ -707,10 +723,12 @@ def test_every_accepted_law_has_a_true_median_or_a_value_error(obj):
 
 
 @pytest.mark.parametrize("raw, message", [(DROPPED, "beyond the float range"),
-                                          (UNDERFLOW, "beyond the float range"), (C_HI_OVERFLOW, "c_hi")])
+                                          (UNDERFLOW, "beyond the float range"), (C_HI_OVERFLOW, "c_hi"),
+                                          (INTEGRAL_OVERFLOW, "normalization integral")])
 def test_stats_of_a_law_past_the_domain_exits_2(tmp_path, capsys, raw, message):
     # DROPPED exited 0 with a false median, UNDERFLOW exited 2 with numpy's
-    # "repeats may not contain negative values", C_HI_OVERFLOW exited 0 with NaN
+    # "repeats may not contain negative values", C_HI_OVERFLOW exited 0 with NaN,
+    # INTEGRAL_OVERFLOW exited 1 on the RuntimeWarning of its raw integral
     pfile = tmp_path / "law.json"
     _write(pfile, json.dumps(raw))
     with warnings.catch_warnings():

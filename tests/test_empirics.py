@@ -194,10 +194,15 @@ def test_find_scale_factor_min_alignment():
 
 @pytest.mark.parametrize("survey_high, rich", [([100.0], [0.0, 5.0]), ([100.0], [np.nan]),
                                                ([-1.0, 100.0], [5.0]), ([100.0], [np.inf]),
-                                               ([], [5.0]), ([100.0], [])])
+                                               ([], [5.0]), ([100.0], []),
+                                               ([1e300] * 6, [1e-300]), ([1e-300] * 6, [1e300])])
 def test_find_scale_factor_rejects_incomes_not_positive_and_finite(survey_high, rich):
-    with pytest.raises(ValueError, match="positive and finite"):
-        find_scale_factor(survey_high, rich)
+    # the last two derive a factor past the floats: it overflowed with a
+    # RuntimeWarning or underflowed to 0 with an OverlapWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_scale_factor(survey_high, rich)
 
 
 def test_find_scale_factor_partial_overlap_warns():
