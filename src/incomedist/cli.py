@@ -16,8 +16,6 @@ import json
 import sys
 import warnings
 
-import numpy as np
-
 from incomedist.empirics import (
     EmpiricalCCDF,
     _is_header,
@@ -39,6 +37,7 @@ from incomedist.inequality import compute_stats, gini
 from incomedist.model import (
     _COEFF_KEYS,
     _PARAM_KEYS,
+    _log_grid,
     LangevinCoeffs,
     ModelParams,
     ccdf_eval_many,
@@ -127,8 +126,7 @@ def cmd_eval(args) -> int:
         lo, hi, n = params.m_init, 100.0 * params.m1, 400
     if not (0.0 < lo < hi and n >= 2):
         raise ValueError(f"bad grid range {lo}:{hi}:{n}")
-    grid = np.geomspace(lo, hi, n)
-    grid[0] = lo  # geomspace endpoint roundoff
+    grid = _log_grid(lo, hi, n)
     pi = ccdf_eval_many(params, grid)
     out = _out_path(args)
     _write_csv(out, "income,ccdf", grid, pi)

@@ -85,11 +85,13 @@ def gini(records) -> float:
         raise ValueError("incomes must be finite")
     if np.any(xs < 0.0):
         raise ValueError("incomes must be non-negative")
+    # scale invariant: scaled by an exact power of two, no sum overflows
+    xs = np.ldexp(xs, -np.frexp(xs.max())[1])
     total = float(xs.sum())
     if total <= 0.0:
         raise ValueError("mean income is zero; Gini undefined")
     n = xs.size
-    xs = np.sort(xs)
+    xs.sort()
     ranks = np.arange(1, n + 1, dtype=float)
     g = 2.0 * float(ranks @ xs) / (n * total) - (n + 1.0) / n
     return 100.0 * g

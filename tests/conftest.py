@@ -32,6 +32,9 @@ UNDERFLOW = dict(T=0.001418465287965617, T1=1.2997503623843377e-29, alpha=8.8802
 C_HI_OVERFLOW = dict(T=35907.32257157631, T1=0.04852822822820377, alpha=7.482657657659162e-06,
                      alpha1=90.50983225139966, m0=3.2549532645571036e-72, m1=1.7073356268773555e-69,
                      m_init=4.973229696596593e-76)
+# alpha1 = 0.002: a Zipf-like tail with 0.9% of its mass between 1e300 and the
+# domain's top, m0 / tiny ~ 9e307; its 0.755 and 0.76 quantiles lie there
+HEAVY_TOP = dict(T=1.0, T1=1.0, alpha=1.0, alpha1=0.002, m0=2.0, m1=2.0, m_init=1.0)
 # the closing series' 1/alpha1 ~ 4.5e307 times m0 overflows the raw integral to inf
 INTEGRAL_OVERFLOW = dict(T=1e9, T1=1e9, alpha=0.01, alpha1=2.2250738585072014e-308, m0=1e6, m1=1e6,
                          m_init=1.0)

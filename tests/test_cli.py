@@ -259,6 +259,18 @@ def test_eval_slope_regimes(tmp_path, params08):
     assert tail == pytest.approx(-params08.alpha1, rel=0.02)
 
 
+def test_eval_grid_ends_at_the_largest_float(tmp_path, params08):
+    # the log grid's power overflowed: a RuntimeWarning, and exit 1 under -W error
+    pfile = _params_json(tmp_path, params08)
+    out = tmp_path / "model.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["eval", str(pfile), "--grid", "1:1.7976931348623157e308:400",
+                     "--output", str(out), "--quiet"]) == 0
+    last = out.read_text(encoding="utf-8").splitlines()[-1]
+    assert last.split(",")[0] == "1.7976931348623157e+308"
+
+
 def test_eval_rejects_bad_grid(tmp_path, params08, capsys):
     pfile = _params_json(tmp_path, params08)
     assert main(["eval", str(pfile), "--grid", "5:1:10"]) == 2
@@ -357,6 +369,24 @@ def test_stats_gini_only(tmp_path):
     out = tmp_path / "stats.json"
     assert main(["stats", "--incomes", str(inp), "--output", str(out), "--quiet"]) == 0
     assert json.loads(out.read_text(encoding="utf-8")) == {"gini": 0.0, "n": 5}
+
+
+def test_stats_gini_of_incomes_near_the_largest_float(tmp_path):
+    # the sums overflowed: exit 0 with {"gini": NaN, "n": 3}, which is no JSON
+    inp = tmp_path / "big.csv"
+    _income_csv(inp, [1e308, 1e308, 1e300])
+    out = tmp_path / "stats.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stats", "--incomes", str(inp), "--output", str(out), "--quiet"]) == 0
+
+    def no_constant(name):
+        raise ValueError(f"{name} is no JSON number")
+
+    obj = json.loads(out.read_text(encoding="utf-8"), parse_constant=no_constant)
+    # sorted 1e300, 1e308, 1e308: 100 (2 sum_i i x_(i) / (n sum_i x_i) - (n + 1)/n), near 100/3
+    want = 100.0 * (2.0 * (1e-8 + 2.0 + 3.0) / (3.0 * (2.0 + 1e-8)) - 4.0 / 3.0)
+    assert obj["n"] == 3 and obj["gini"] == pytest.approx(want, rel=1e-12)
 
 
 def test_stats_requires_some_input(capsys):

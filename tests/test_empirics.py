@@ -59,6 +59,8 @@ def test_ccdf_validation():
         EmpiricalCCDF(incomes=np.array([2.0, 1.0]), p=np.array([0.3]))
     with pytest.raises(ValueError, match="flat sequence"):
         rank_ccdf(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="^need at least one record$"):
+        rank_ccdf([])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -68,6 +70,8 @@ def test_one_positive_finite_rule_for_income_arrays(bad):
         EmpiricalCCDF(incomes=incomes, p=np.array([0.25, 0.5, 0.75]))
     with pytest.raises(ValueError, match="^incomes must be positive and finite$"):
         rank_ccdf(incomes)
+    with pytest.raises(ValueError, match="^incomes must be positive and finite$"):
+        fuse(incomes, [], factor=1.0)
     with pytest.raises(EstimationError, match="^values must be positive and finite$"):
         fit_rank(incomes)
 

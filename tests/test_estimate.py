@@ -342,6 +342,12 @@ def test_fit_full_report_structure(params08):
     assert "alpha" in obj["params"]
     text = report.summary()
     assert "alpha" in text and "m0" in text
+    # the record checks its own invariants
+    for bad, message in ((dict(m0_hat=report.m1_hat), "^m0_hat must be below m1_hat$"),
+                         (dict(m1_rel_unc=-0.1), "^uncertainties must be non-negative$"),
+                         (dict(refined_T=2.0 * report.T_bg), r"^refined_T must lie in \[T_bg, 1.5 T_bg\]$")):
+        with pytest.raises(ValueError, match=message):
+            replace(report, **bad)
 
 
 @pytest.mark.filterwarnings("ignore::incomedist.DegenerateTailWarning")

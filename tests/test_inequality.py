@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,9 @@ def test_gini_invariances():
     xs = rng.lognormal(10.0, 1.0, size=1000)
     g = gini(xs)
     assert gini(17.0 * xs) == pytest.approx(g, rel=1e-12)  # scale invariant
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gini(xs * 2.0**1000) == g  # exactly: the sums overflowed to a NaN Gini
     assert gini(xs[::-1]) == pytest.approx(g, rel=1e-12)   # permutation invariant
     assert gini(xs + 1e5) < g                              # translation shrinks inequality
 

@@ -33,7 +33,7 @@ from incomedist import (
 from incomedist import model
 from incomedist.model import _ccdf_nodes, _log_ccdf_misfit
 
-from conftest import C_HI_OVERFLOW, DROPPED, FAR, UNDERFLOW, direct_misfit, noiseless_ccdf, spoil_one
+from conftest import C_HI_OVERFLOW, DROPPED, FAR, HEAVY_TOP, UNDERFLOW, direct_misfit, noiseless_ccdf, spoil_one
 
 # Frozen two-branch constants for the bundled parameter sets, computed once
 # against a 50-digit arbitrary-precision quadrature of the same integrals.
@@ -302,6 +302,13 @@ def test_the_domain_top_is_an_income(normal_pieces):
         assert ccdf_eval_many(params, np.geomspace(params.m1, top, 2001))[-1] == pytest.approx(tail, rel=1e-13)
         assert ccdf_table(params, top, 50)[1][-1] == pytest.approx(tail, rel=1e-13)
         assert 0.0 < pdf_eval(params, top) < pdf_eval(params, 1e-3 * top)
+        # a table that ends at the largest float: its log grid overflowed with a warning
+        params08 = preset_params("2008")
+        top08 = np.finfo(float).max
+        tail08 = ccdf_eval(params08, top08)
+        assert ccdf_table(params08, top08, 50)[1][-1] == pytest.approx(tail08, rel=1e-13)
+        ms = np.append(np.geomspace(params08.m1, 1e308, 2000), top08)
+        assert ccdf_eval_many(params08, ms)[-1] == pytest.approx(tail08, rel=1e-13)
 
 
 def test_one_pass_keeps_intervals_whose_k_dw_underflows(normal_pieces):
@@ -315,10 +322,51 @@ def test_one_pass_keeps_intervals_whose_k_dw_underflows(normal_pieces):
     assert [ccdf_eval(params, m) for m in ms] == pytest.approx(want, abs=1e-8)
 
 
+# two roots next to the largest float, the domain's top: the Newton start
+# lo (hi / lo)**s rounded past hi into inf for the first law, and the
+# bisection 0.5 (lo + hi) overflowed for the second
+NEXT_TO_THE_TOP = [
+    dict(T=2.2418940304742834, T1=18.739437558697627, alpha=0.7711033049012777, alpha1=0.0026345774578947984,
+         m0=21.03122759254038, m1=31.39849446897159, m_init=0.022374141502308386),
+    dict(T=0.48102331532790826, T1=0.15263264998325718, alpha=2.886554234486937, alpha1=0.01367386428178644,
+         m0=4.288935684464623, m1=4.703285271562245, m_init=0.00018714960323546403),
+]
+
+
+@pytest.mark.parametrize("raw, q", [(HEAVY_TOP, 0.755), (HEAVY_TOP, 0.76), (NEXT_TO_THE_TOP[0], 0.9834515835790757),
+                                    (NEXT_TO_THE_TOP[1], 0.9999999999999923)])
+def test_quantile_reaches_the_domain_top(raw, q):
+    # the searches stopped near 1e300: "lies beyond the float range (above 1.9e+300)"
+    params = normalize(ModelParams(**raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = quantile(params, q)
+    assert 1e300 < m <= model._top(params)
+    assert abs(ccdf_eval(params, m) - (1.0 - q)) <= 1e-8 * m * pdf_eval(params, m) + 1e-8 * (1.0 - q)
+
+
+def test_sampler_of_a_law_near_the_largest_float():
+    # 24 decades up from 10 m1 passed the floats: "overflow encountered in accumulate"
+    params = normalize(ModelParams(T=1e289, T1=1e289, alpha=2.0, alpha1=1.5, m0=1e289, m1=1e290, m_init=1e288))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_incomes(params, 1000, seed=1)
+    assert params.m_init <= draws.min() and draws.max() <= model._top(params)
+
+
+def test_sampler_edge_reaches_the_domain_top():
+    # the edge stopped at 2e300, and 25,033 of these draws clipped to it
+    params = normalize(ModelParams(**HEAVY_TOP))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_incomes(params, 100_000, seed=1)
+    assert draws.max() == model._top(params)
+
+
 @pytest.mark.parametrize("raw", [DROPPED, UNDERFLOW])
 def test_quantile_past_the_domain_top_is_value_error(raw, normal_pieces):
-    # the medians lie beyond m0 / _TINY, which is below the 1e300 cap; the
-    # sampler's table edge stops at the same top
+    # the medians lie beyond m0 / _TINY; the sampler's table edge stops at
+    # the same top
     params = normalize(ModelParams(**raw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -438,7 +486,7 @@ def test_newton_steps_integrate_no_closing_interval(params08, q, monkeypatch):
         for ms in brackets:  # only the decades above the ladder run to infinity
             assert ms.size > 2 and ms[0] > params._ladder[0][-1]
         for ms in steps:  # one interval [m, hi]
-            assert ms.size == 2 and params.m_init <= ms[0] <= ms[1] < model._EDGE_CAP
+            assert ms.size == 2 and params.m_init <= ms[0] <= ms[1] <= model._top(params)
         assert abs(ccdf_eval(params, m) - (1.0 - q)) <= 1e-8 * m * pdf_eval(params, m) + 1e-8 * (1.0 - q)
 
 
@@ -466,9 +514,9 @@ def test_replace_gives_a_law_with_its_own_ladder(params08):
 def _reference_sample(params, n, seed):
     """sample_incomes with its table edge found by the scalar decade loop."""
     p_floor = max(1e-12, 1e-3 / n)
-    edge = 10.0 * params.m1
-    while ccdf_eval(params, edge) > p_floor and edge < 1e300:
-        edge *= 10.0
+    edge, top = 10.0 * params.m1, model._top(params)
+    while ccdf_eval(params, edge) > p_floor and edge < top:
+        edge = min(edge * 10.0, top)
     grid_m, grid_pi = ccdf_table(params, edge, n_grid=4000)
     targets = np.clip(1.0 - np.random.default_rng(seed).random(n), grid_pi[-1], 1.0)
     return np.exp(np.interp(np.log(targets), np.log(grid_pi[::-1]), np.log(grid_m[::-1])))
@@ -484,7 +532,7 @@ def test_sampler_edge_matches_the_decade_loop(year, seed):
 
 @pytest.mark.parametrize("alpha1", [0.01, 0.05, 0.1])
 def test_heavy_tail_sampler_edge_matches_the_decade_loop(params08, alpha1):
-    # these edges lie past the first pass's 24 decades (at the 1e300 cap for 0.01)
+    # these edges lie past the first pass's 24 decades (at the domain's top for 0.01)
     params = _with_alpha1(params08, alpha1)
     assert np.array_equal(sample_incomes(params, 20_000, seed=8), _reference_sample(params, 20_000, 8))
 

@@ -55,6 +55,8 @@ def test_config_validation():
         _config(m1=0.005)
     with pytest.raises(ValueError, match="samples length must equal n_paths"):
         Ensemble(samples=np.ones(3), config=_config(n_paths=4), n_reflections=0)
+    with pytest.raises(ValueError, match="^all samples must be >= m_init$"):
+        Ensemble(samples=np.full(4, 0.005), config=_config(n_paths=4), n_reflections=0)
 
 
 def test_config_json_round_trip():
