@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from incomedist.empirics import _incomes_array
-from incomedist.model import ModelParams, _ccdf_nodes, _Record, quantile
+from incomedist.model import ModelParams, _Record, quantile
 
 __all__ = [
     "DegenerateClassError",
@@ -38,12 +38,13 @@ def class_fractions(params: ModelParams) -> tuple[float, float, float]:
     """Percentages of households in the low/medium/high income classes.
 
     f_low = 100*(Pi(m_init) - Pi(m0)), f_med = 100*(Pi(m0) - Pi(m1)),
-    f_high = 100*Pi(m1), all from the analytic CCDF in one quadrature pass
-    over the three incomes, so the three telescope to 100*Pi(m_init) = 100 up
-    to quadrature tolerance.
+    f_high = 100*Pi(m1), all from the analytic CCDF read off the law's
+    quantile ladder, whose one engine pass has the three incomes as rungs
+    and is kept on the law (so the median and the quantiles share it), so
+    the three telescope to 100*Pi(m_init) = 100 up to quadrature tolerance.
     """
-    tails, _ = _ccdf_nodes(params, [params.m_init, params.m0, params.m1], params.c_lo, params.c_hi)
-    pi_init, pi_0, pi_1 = tails.tolist()
+    rungs, tails, _ = params._ladder
+    pi_init, pi_0, pi_1 = tails[np.searchsorted(rungs, [params.m_init, params.m0, params.m1])].tolist()
     return (
         100.0 * (pi_init - pi_0),
         100.0 * (pi_0 - pi_1),

@@ -18,7 +18,7 @@ from incomedist import (
     population_ratios,
     preset_params,
 )
-from incomedist import inequality
+from incomedist import model
 
 # Frozen fractions derived from the frozen CCDF anchor values.
 FROZEN = {
@@ -38,12 +38,20 @@ def test_class_fractions_frozen(year, fixture, request):
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
 def test_class_fractions_take_one_pass(year, monkeypatch):
+    # the one pass is the law's quantile ladder, which the median shares
     params = preset_params(year)
-    calls, nodes = [], inequality._ccdf_nodes
-    monkeypatch.setattr(inequality, "_ccdf_nodes", lambda *args: calls.append(args[1]) or nodes(*args))
+    calls, nodes = [], model._ccdf_nodes
+    monkeypatch.setattr(model, "_ccdf_nodes", lambda *args, **kw: calls.append(args[1]) or nodes(*args, **kw))
     f_low, f_med, f_high = class_fractions(params)
-    assert len(calls) == 1
+    assert len(calls) == 1 and np.array_equal(calls[0], params._ladder[0])
+    del calls[:]
+    assert class_fractions(params) == (f_low, f_med, f_high)
+    assert population_ratios(params) == (f_low / f_med, f_med / f_high)
+    assert calls == []  # read off the kept ladder: no engine pass
     monkeypatch.undo()
+    three, _ = model._ccdf_nodes(params, [params.m_init, params.m0, params.m1], params.c_lo, params.c_hi)
+    want = (100.0 * (three[0] - three[1]), 100.0 * (three[1] - three[2]), 100.0 * three[2])
+    assert (f_low, f_med, f_high) == pytest.approx(want, rel=0.0, abs=1e-12)
     pi_init, pi_0, pi_1 = (ccdf_eval(params, m) for m in (params.m_init, params.m0, params.m1))
     assert f_low + f_med + f_high == pytest.approx(100.0 * pi_init, rel=1e-14)
     assert f_low == pytest.approx(100.0 * (pi_init - pi_0), rel=1e-14)

@@ -354,6 +354,19 @@ def test_sampler_of_a_law_near_the_largest_float():
     assert params.m_init <= draws.min() and draws.max() <= model._top(params)
 
 
+def test_ladder_of_a_law_near_the_largest_float():
+    # the rungs m_init + T 2**(j/4) passed the floats: "overflow encountered
+    # in multiply" from the median, and from the class fractions read off them
+    params = normalize(ModelParams(T=1e305, T1=1e305, alpha=2.0, alpha1=1.5, m0=1e306, m1=2e306, m_init=1e304))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = quantile(params, 0.5)
+        fractions = class_fractions(params)
+    assert params._ladder[0][-1] == model._top(params)
+    assert abs(ccdf_eval(params, m) - 0.5) <= 1e-8 * m * pdf_eval(params, m) + 1e-8 * 0.5
+    assert sum(fractions) == pytest.approx(100.0, abs=1e-8)
+
+
 def test_sampler_edge_reaches_the_domain_top():
     # the edge stopped at 2e300, and 25,033 of these draws clipped to it
     params = normalize(ModelParams(**HEAVY_TOP))
@@ -437,6 +450,23 @@ def test_quantile_solves_the_ccdf_property(params, qa, qb):
         assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
 
 
+@settings(max_examples=30)
+@given(_query_sets(), _levels)
+@example(_with_alpha1(preset_params("2008"), 0.05), 1.0 - 1e-9)
+@example(preset_params("2006"), 0.5)
+@example(normalize(ModelParams(T=79708.64814984091, T1=55796.05370488863, alpha=3.7114350708330663,
+                               alpha1=1.9375, m0=151446.43148469774, m1=908678.5889081864, m_init=0.01)), 1e-6)
+def test_quantile_is_within_1e9_of_brent_property(params, q):
+    # a Newton step from the exact CCDF never passes the root, so a step
+    # whose error bound is 1e-9 (m + step) stops at most 1e-9 below it.  A
+    # CCDF near 1 carries rounding of some 1e-16 from its sum over the
+    # ladder's intervals, an income error of that over P(m): the last
+    # example (m = 0.064, P = 1.8e-5) lies 1.06e-9 relative off Brent, 1.3e-15
+    # in the CCDF, so the slack adds 1e-14 / P(m)
+    m, ref = quantile(params, q), _brent_quantile(params, q)
+    assert abs(m - ref) <= 1e-9 * ref + 1e-14 / pdf_eval(params, m)
+
+
 def _spy_on_engine(monkeypatch):
     """Record (ms, closed) for every _ccdf_nodes pass, forwarding every argument."""
     calls = []
@@ -473,6 +503,19 @@ def test_quantiles_of_one_law_share_one_ladder_pass(year, monkeypatch):
     assert quantile(params, 0.5) == first
 
 
+@pytest.mark.parametrize("year", ["2008", "2006"])
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+def test_quantile_takes_one_interval_pass_after_the_ladder(year, q, monkeypatch):
+    # the Hermite start lies within ~1e-5 of the root, so the first Newton
+    # step certifies; a log-log start between the same rungs takes 2 to 4
+    params = preset_params(year)
+    params._ladder
+    calls = _spy_on_engine(monkeypatch)
+    m = quantile(params, q)
+    assert len(calls) == 1 and calls[0][0].size == 2 and not calls[0][1]
+    assert m == pytest.approx(_brent_quantile(params, q), rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("q", [1e-6, 0.1, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-9])
 def test_newton_steps_integrate_no_closing_interval(params08, q, monkeypatch):
     # alpha1 = 0.2: the last two levels lie past the ladder, in the decades pass
@@ -501,13 +544,15 @@ def test_open_pass_is_the_full_pass_without_its_closing_interval(params08):
 
 def test_replace_gives_a_law_with_its_own_ladder(params08):
     quantile(params08, 0.5)
-    rungs, tails = params08._ladder
+    rungs, tails, _ = params08._ladder
     other = replace(params08, T=2e4)
     assert "_ladder" not in vars(other)
     assert quantile(other, 0.5) == pytest.approx(_brent_quantile(other, 0.5), rel=1e-8, abs=0.0)
-    o_rungs, o_tails = other._ladder
+    o_rungs, o_tails, o_dens = other._ladder
     assert not np.array_equal(o_rungs, rungs) and not np.array_equal(o_tails, tails)
-    assert np.array_equal(o_rungs, other.m_init + other.T * model._QUANTILE_RUNGS)
+    ladder = np.concatenate(([other.m_init, other.m0, other.m1], other.m_init + other.T * model._QUANTILE_RUNGS))
+    assert np.array_equal(o_rungs, np.unique(ladder))
+    assert np.array_equal(o_dens, pdf_eval(other, o_rungs))
     assert params08._ladder[0] is rungs  # the original keeps its own
 
 
@@ -519,7 +564,8 @@ def _reference_sample(params, n, seed):
         edge = min(edge * 10.0, top)
     grid_m, grid_pi = ccdf_table(params, edge, n_grid=4000)
     targets = np.clip(1.0 - np.random.default_rng(seed).random(n), grid_pi[-1], 1.0)
-    return np.exp(np.interp(np.log(targets), np.log(grid_pi[::-1]), np.log(grid_m[::-1])))
+    # unsorted targets; exp(log(edge)) may round past the edge, as in the sampler
+    return np.minimum(np.exp(np.interp(np.log(targets), np.log(grid_pi[::-1]), np.log(grid_m[::-1]))), grid_m[-1])
 
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
@@ -535,6 +581,19 @@ def test_heavy_tail_sampler_edge_matches_the_decade_loop(params08, alpha1):
     # these edges lie past the first pass's 24 decades (at the domain's top for 0.01)
     params = _with_alpha1(params08, alpha1)
     assert np.array_equal(sample_incomes(params, 20_000, seed=8), _reference_sample(params, 20_000, 8))
+
+
+@pytest.mark.parametrize("n, seed, clipped", [(1, 1, 0), (1, 4, 1), (7, 3, 1), (1000, 2, 242)])
+@pytest.mark.parametrize("raw", [PRESETS["2008"], HEAVY_TOP])
+def test_sampler_draws_are_the_unsorted_interp_formula(raw, n, seed, clipped):
+    # the sampler interpolates its targets in sorted order; HEAVY_TOP holds
+    # 24% of its mass past its top, so `clipped` of its draws are targets
+    # clipped to the table edge, its top
+    params = normalize(ModelParams(**raw))
+    got = sample_incomes(params, n, seed=seed)
+    assert got.tobytes() == _reference_sample(params, n, seed).tobytes()
+    if raw is HEAVY_TOP:
+        assert np.count_nonzero(got == model._top(params)) == clipped
 
 
 @pytest.mark.parametrize("alpha1", [0.01, 0.05])
