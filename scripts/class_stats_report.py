@@ -8,28 +8,27 @@ were calibrated to reproduce.
 
 import argparse
 
-from incomedist import class_fractions, median_income, population_ratios, preset_params
+from incomedist import compute_stats, preset_params
 from incomedist.presets import REFERENCE_STATS
 
 
 def report(year: str) -> None:
     params = preset_params(year)
     ref = REFERENCE_STATS[year]
-    f_low, f_med, f_high = class_fractions(params)
-    r1, r2 = population_ratios(params)
+    stats = compute_stats(params)
     rows = [
-        ("low-income fraction (%)", f_low, ref["f_low"]),
-        ("medium-income fraction (%)", f_med, ref["f_med"]),
-        ("high-income fraction (%)", f_high, ref["f_high"]),
-        ("r1 low/medium", r1, ref["r1"]),
-        ("r2 medium/high", r2, ref["r2"]),
+        ("low-income fraction (%)", stats.f_low, ref["f_low"]),
+        ("medium-income fraction (%)", stats.f_med, ref["f_med"]),
+        ("high-income fraction (%)", stats.f_high, ref["f_high"]),
+        ("r1 low/medium", stats.r1, ref["r1"]),
+        ("r2 medium/high", stats.r2, ref["r2"]),
     ]
     print(f"wave {year}  (T={params.T:.4g}, alpha={params.alpha}, "
           f"alpha1={params.alpha1}, m0={params.m0:.3g}, m1={params.m1:.3g})")
     print(f"  {'quantity':<28} {'model':>10} {'reference':>10} {'deviation':>10}")
     for name, got, want in rows:
         print(f"  {name:<28} {got:>10.4f} {want:>10.4f} {got / want - 1.0:>+10.2%}")
-    print(f"  {'median income':<28} {median_income(params):>10.2f}")
+    print(f"  {'median income':<28} {stats.median:>10.2f}")
     print()
 
 

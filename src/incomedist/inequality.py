@@ -58,10 +58,7 @@ def population_ratios(params: ModelParams) -> tuple[float, float]:
     Computed from the same fraction values as class_fractions so the
     identities hold exactly in floating point, not just to tolerance.
     """
-    return _ratios(*class_fractions(params))
-
-
-def _ratios(f_low: float, f_med: float, f_high: float) -> tuple[float, float]:
+    f_low, f_med, f_high = class_fractions(params)
     if f_med <= 0.0 or f_high <= 0.0:
         raise DegenerateClassError(
             f"cannot form ratios with f_med={f_med}, f_high={f_high}"
@@ -143,7 +140,7 @@ class ClassStats(_Record):
 def compute_stats(params: ModelParams, incomes=None) -> ClassStats:
     """Assemble ClassStats from model parameters and an optional income sample."""
     f_low, f_med, f_high = class_fractions(params)
-    r1, r2 = _ratios(f_low, f_med, f_high)
+    r1, r2 = population_ratios(params)
     g = None if incomes is None else gini(incomes)
     return ClassStats(
         f_low=f_low, f_med=f_med, f_high=f_high,

@@ -16,10 +16,11 @@ update and half the memory where the ~1e-7 relative rounding is irrelevant
 (it is, for distribution-level statistics: income scales are ~1e4..1e7 and
 step noise is ~1e2..1e3).
 
-The reflected Euler scheme carries an O(sqrt(dt)) boundary-layer bias (the
-stationary law sits shifted by ~0.58*sqrt(2*B0*dt) near the wall), which is
-what forces small dt for tight KS agreement with the analytic equilibrium;
-see the stability bound and the equilibrium tests for the working values.
+Reflection by folding (2*m_init - m') is the symmetrized Euler scheme, of
+weak order 1 for reflected diffusions.  Its KS distance to the law grows
+like about 5*dt on the 2008 preset (README, "Known limitations"), which is
+what forces a small dt for tight KS agreement with the analytic
+equilibrium: acceptance criterion 5 runs at dt = 2e-4.
 """
 
 from __future__ import annotations

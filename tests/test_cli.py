@@ -25,6 +25,7 @@ from conftest import C_HI_OVERFLOW, DROPPED, FAR, INTEGRAL_OVERFLOW, UNDERFLOW, 
 from incomedist import (
     ClassStats,
     EmpiricalCCDF,
+    EmptyFileWarning,
     FitReport,
     LangevinCoeffs,
     ModelParams,
@@ -34,6 +35,7 @@ from incomedist import (
     class_fractions,
     effective_to_coeffs,
     fit_full,
+    fit_rank,
     forbes_incomes,
     fuse,
     load_incomes,
@@ -154,19 +156,37 @@ def test_fuse_reads_a_quoted_id_holding_a_comma(tmp_path, capsys):
 def test_fuse_empty_rich_needs_factor(tmp_path, capsys):
     survey = tmp_path / "survey.csv"
     _income_csv(survey, [3.0, 4.0])
-    wealth = tmp_path / "wealth.csv"
-    _wealth_csv(wealth, [(100.0, 40.0)])  # a loss: no effective income
+    loss, no_rows = tmp_path / "loss.csv", tmp_path / "no_rows.csv"
+    _wealth_csv(loss, [(100.0, 40.0)])  # a loss: no effective income
+    _wealth_csv(no_rows, [])  # the header alone
     out = tmp_path / "fused.csv"
-    assert main(["fuse", str(survey), str(wealth), "--output", str(out)]) == 2
-    assert "empty rich" in capsys.readouterr().err
-    for bad in ("-1", "nan"):  # each exited 0 and printed its factor
-        assert main(["fuse", str(survey), str(wealth), "--factor", bad, "--output", str(out)]) == 2
-        assert "factor must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
-    assert main(["fuse", str(survey), str(wealth), "--factor", "1",
-                 "--output", str(out), "--quiet"]) == 0
-    rows = [float(s) for s in out.read_text(encoding="utf-8").splitlines()[1:]]
-    assert rows == [3.0, 4.0]
+    for wealth in (loss, no_rows):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fuse", str(survey), str(wealth), "--output", str(out)]) == 2
+            assert "empty rich" in capsys.readouterr().err
+            for bad in ("-1", "nan"):  # each exited 0 and printed its factor
+                assert main(["fuse", str(survey), str(wealth), "--factor", bad, "--output", str(out)]) == 2
+                assert "factor must be positive and finite" in capsys.readouterr().err
+                assert not out.exists()
+            assert main(["fuse", str(survey), str(wealth), "--factor", "1",
+                         "--output", str(out), "--quiet"]) == 0
+        assert {w.category for w in caught} == ({EmptyFileWarning} if wealth == no_rows else set())
+        rows = [float(s) for s in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert rows == [3.0, 4.0]
+        out.unlink()
+
+
+def test_fuse_of_a_factor_past_the_float_range_exits_2(tmp_path, capsys):
+    # the derived factor 1e300 / 1e-300 overflowed with a RuntimeWarning: exit 1 under -W error
+    survey, wealth, out = tmp_path / "survey.csv", tmp_path / "wealth.csv", tmp_path / "fused.csv"
+    _income_csv(survey, [1e300] * 6)
+    _wealth_csv(wealth, [(0.0, 1e-300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["fuse", str(survey), str(wealth), "--output", str(out)]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- fit
@@ -408,6 +428,7 @@ def test_rank_exact_power_recovery(tmp_path, alpha_rank):
     assert round(obj["alpha_rank"], 4) == alpha_rank
     assert obj["alpha_pareto"] == pytest.approx(1.0 / alpha_rank, rel=1e-9)
     assert obj["stderr"] == pytest.approx(0.0, abs=1e-7)
+    assert out.read_text(encoding="utf-8") == fit_rank(load_incomes(inp)).to_json() + "\n"
 
 
 def test_rank_degenerate_values_exit2(tmp_path, capsys):
@@ -502,6 +523,11 @@ def test_simulate_sim_config_runs_as_saved(tmp_path):
         run_ensemble(dataclasses.replace(config, **changes)).to_csv(ref)
         assert out.read_bytes() == ref.read_bytes(), flags
         assert out.read_bytes().count(b"\n") == 1 + changes.get("n_paths", 300)
+    # a count saved as the JSON number 100.0 gives the bytes of --n-paths 100
+    _write(cfile, json.dumps(dict(json.loads(config.to_json()), n_paths=100.0)))
+    assert main(["simulate", str(cfile), "--output", str(out), "--quiet"]) == 0
+    run_ensemble(dataclasses.replace(config, n_paths=100)).to_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("flags", [["--m1", "5e5"], ["--m-init", "3"],
@@ -636,31 +662,43 @@ def test_eval_and_fuse_bytes_match_per_row_output(tmp_path, params08):
 
 def test_cli_pipeline_runs_with_scipy_blocked(tmp_path, params08):
     # numpy is the only runtime dependency: with every scipy import made to
-    # fail, ccdf -> fit -> stats -> eval -> simulate all exit 0
+    # fail, ccdf -> fit -> stats -> eval -> simulate all exit 0, and write
+    # the bytes that the same commands write with scipy importable
     incomes = tmp_path / "incomes.csv"
     _income_csv(incomes, sample_incomes(params08, 20000, seed=1))
-    out = {name: str(tmp_path / name) for name in ("ccdf.csv", "fit.json", "stats.json", "e.csv", "sim.csv")}
-    commands = [
-        ["ccdf", str(incomes), "--output", out["ccdf.csv"]],
-        ["fit", out["ccdf.csv"], "--output", out["fit.json"]],
-        ["stats", "--params", out["fit.json"], "--incomes", str(incomes), "--output", out["stats.json"]],
-        ["eval", out["fit.json"], "--output", out["e.csv"]],
-        ["simulate", out["fit.json"], "--n-paths", "200", "--n-steps", "50", "--seed", "1",
-         "--output", out["sim.csv"]],
-    ]
+    names = ("ccdf.csv", "fit.json", "stats.json", "e.csv", "sim.csv")
+
+    def commands(folder):
+        out = {name: str(folder / name) for name in names}
+        return [
+            ["ccdf", str(incomes), "--output", out["ccdf.csv"]],
+            ["fit", out["ccdf.csv"], "--output", out["fit.json"]],
+            ["stats", "--params", out["fit.json"], "--incomes", str(incomes), "--output", out["stats.json"]],
+            ["eval", out["fit.json"], "--output", out["e.csv"]],
+            ["simulate", out["fit.json"], "--n-paths", "200", "--n-steps", "50", "--seed", "1",
+             "--output", out["sim.csv"]],
+        ]
+
+    blocked, importable = tmp_path / "blocked", tmp_path / "importable"
+    blocked.mkdir()
+    importable.mkdir()
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None  # every import of scipy or a submodule raises ImportError\n"
         "from incomedist import cli\n"
         "assert 'subprocess' not in sys.modules, 'import loads subprocess'\n"
-        f"for argv in {commands!r}:\n"
+        f"for argv in {commands(blocked)!r}:\n"
         "    assert cli.main(argv + ['--quiet']) == 0, argv[0]\n"
     )
     src = os.path.dirname(os.path.dirname(incomedist.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert all(os.path.getsize(path) > 0 for path in out.values())
+    for argv in commands(importable):
+        assert main(argv + ["--quiet"]) == 0, argv[0]
+    for name in names:
+        assert os.path.getsize(blocked / name) > 0, name
+        assert (blocked / name).read_bytes() == (importable / name).read_bytes(), name
 
 
 def test_the_package_exports_exactly_its_modules_public_names():
