@@ -18,7 +18,6 @@ import warnings
 
 from incomedist.empirics import (
     EmpiricalCCDF,
-    _is_header,
     _overlap_factor,
     _write_csv,
     forbes_incomes,
@@ -70,10 +69,10 @@ def _load_params(path: str) -> ModelParams:
 
 
 def _load_any_ccdf(path: str) -> EmpiricalCCDF:
-    """Accept either an exported CCDF table or a raw one-column income list."""
+    """A CCDF export (two cells a row, header optional) or a one-column income list."""
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if _is_header(first, "income,ccdf"):
+        first = next((line for line in fh if line.strip()), "")
+    if first.count(",") == 1:
         return EmpiricalCCDF.from_csv(path)
     return rank_ccdf(load_incomes(path))
 

@@ -120,39 +120,39 @@ class RankFit(_Record):
 
 @dataclass(frozen=True)
 class FitReport(_Record):
-    """Full three-step fit: parameters, per-step diagnostics, uncertainties."""
+    """Full three-step fit: the law params, plus the diagnostics the law does not hold.
+
+    params has alpha, alpha1 and m1 from the segment fits, T = T1 and m0 refined.
+    """
 
     params: ModelParams
     T_bg: float
-    alpha_fit: float
     alpha_se: float
-    alpha1_fit: float
     alpha1_se: float
     m0_hat: float
     m0_rel_unc: float
-    m1_hat: float
     m1_rel_unc: float
     ssr_per_segment: tuple[float, float, float]
-    refined_T: float
     degenerate_tail: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.m0_hat < self.m1_hat):
-            raise ValueError("m0_hat must be below m1_hat")
+        if not (self.m0_hat < self.params.m1):
+            raise ValueError("m0_hat must be below params.m1")
         if min(self.alpha_se, self.alpha1_se, self.m0_rel_unc, self.m1_rel_unc) < 0.0:
             raise ValueError("uncertainties must be non-negative")
-        if not (self.T_bg <= self.refined_T <= 1.5 * self.T_bg * (1 + 1e-12)):
-            raise ValueError("refined_T must lie in [T_bg, 1.5 T_bg]")
+        if not (self.T_bg <= self.params.T <= 1.5 * self.T_bg * (1 + 1e-12)):
+            raise ValueError("params.T must lie in [T_bg, 1.5 T_bg]")
 
     def summary(self) -> str:
+        p = self.params
         lines = [
             f"T (segment fit)    {self.T_bg:.6g}",
-            f"T (refined)        {self.refined_T:.6g}",
-            f"alpha              {self.alpha_fit:.4f} +- {self.alpha_se:.4f}",
-            f"alpha1             {self.alpha1_fit:.4f} +- {self.alpha1_se:.4f}",
+            f"T (refined)        {p.T:.6g}",
+            f"alpha              {p.alpha:.4f} +- {self.alpha_se:.4f}",
+            f"alpha1             {p.alpha1:.4f} +- {self.alpha1_se:.4f}",
             f"m0 (segment break) {self.m0_hat:.6g} (+- {100 * self.m0_rel_unc:.1f}%)",
-            f"m0 (refined)       {self.params.m0:.6g}",
-            f"m1                 {self.m1_hat:.6g} (+- {100 * self.m1_rel_unc:.1f}%)",
+            f"m0 (refined)       {p.m0:.6g}",
+            f"m1                 {p.m1:.6g} (+- {100 * self.m1_rel_unc:.1f}%)",
             f"SSR per segment    {self.ssr_per_segment[0]:.4g} / "
             f"{self.ssr_per_segment[1]:.4g} / {self.ssr_per_segment[2]:.4g}",
         ]
@@ -171,14 +171,19 @@ class _PrefixOLS:
     from the segment's own values, so the data are centred at their medians.
     A mean would not do: with alpha1 < 1 the tail drags the mean of raw
     incomes to 1e10 and beyond, where the exponential segment's SSR loses
-    every digit (Chan, Golub & LeVeque 1983).
+    every digit (Chan, Golub & LeVeque 1983).  The tables measure x in
+    2^x_exp, a power of two near its largest magnitude, so that the squares
+    of raw incomes neither overflow nor go subnormal at any scale; the
+    scaling is exact, and line() returns the slope in x's own units.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, cuts: np.ndarray):
         self.x, self.y, self.cuts = x, y, cuts
         self.x_shift = float(np.median(x))
         self.y_shift = float(np.median(y))
+        self.x_exp = int(np.frexp(max(-x.min(), x.max()))[1])
         cx = x - self.x_shift
+        np.ldexp(cx, -self.x_exp, out=cx)
         cy = y - self.y_shift
         self.sxx = self._at_cuts(cx * cx)
         self.sxy = self._at_cuts(cx * cy)
@@ -213,12 +218,13 @@ class _PrefixOLS:
         n, var_x, cov, var_y = self.moments(a, b)
         if not (var_x > 0.0):
             raise EstimationError("zero x-variance in regression window")
-        slope = float(cov / var_x)
+        scaled = float(cov / var_x)  # per 2^x_exp of x
+        slope = math.ldexp(scaled, -self.x_exp)
         ssr = max(float(var_y - cov * cov / var_x), 0.0)
         sx = float(self.sx[b] - self.sx[a])
         sy = float(self.sy[b] - self.sy[a])
         intercept = (
-            (sy - slope * sx) / n + self.y_shift - slope * self.x_shift
+            (sy - scaled * sx) / n + self.y_shift - slope * self.x_shift
         )
         return slope, intercept, ssr
 
@@ -274,10 +280,11 @@ def _candidate_indices(n: int, min_segment: int) -> np.ndarray:
 def _search_segments(ccdf: EmpiricalCCDF):
     """Grid search over boundary index pairs.
 
-    Returns the optimum, its uncertainty profiles and the three winning lines,
-    read from the same two prefix tables that scored them: the slopes and
-    SSRs of segments [0, i), [i, j) and [j, n), and the slope standard
-    errors of the two power-law segments.
+    Returns the breaks m0_hat and m1, and the three winning lines read from
+    the same two prefix tables that scored them: the slopes of segments
+    [0, i), [i, j) and [j, n).  The rest is named as FitReport's fields:
+    the SSRs, the slope standard errors of the two power-law segments, the
+    breaks' uncertainty profiles and the degenerate-tail flag.
     """
     x, p = _ascending(ccdf)
     n = x.size
@@ -327,13 +334,13 @@ def _search_segments(ccdf: EmpiricalCCDF):
         )
     (s1, _, r1), (s2, _, r2), (s3, _, r3) = lin.line(0, a), loglog.line(a, b), loglog.line(b, k + 1)
     return {
-        "m0": float(x[i]), "m1": float(x[j]),
+        "m0_hat": float(x[i]), "m1": float(x[j]),
         "slopes": (s1, s2, s3),
-        "ssr": (r1, r2, r3),
-        "slope_se": (loglog.stderr(a, b, s2), loglog.stderr(b, k + 1, s3)),
+        "ssr_per_segment": (r1, r2, r3),
+        "alpha_se": loglog.stderr(a, b, s2), "alpha1_se": loglog.stderr(b, k + 1, s3),
         "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i])) if m0_set.size else 0.0,
         "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j])) if m1_set.size else 0.0,
-        "degenerate": bool(degenerate),
+        "degenerate_tail": bool(degenerate),
     }
 
 
@@ -345,7 +352,7 @@ def detect_crossovers(ccdf: EmpiricalCCDF) -> tuple[float, float]:
     m1 returned at the edge candidate.
     """
     res = _search_segments(ccdf)
-    return res["m0"], res["m1"]
+    return res["m0_hat"], res["m1"]
 
 
 def _window(ccdf: EmpiricalCCDF, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -470,13 +477,12 @@ def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:
 
     Steps: crossover search, whose winning segments give T/alpha/alpha1
     (T1 = T imposed), model assembly and normalization, then the global
-    joint refinement of T and m0.  The segment breaks stay in the report as
-    m0_hat and m1_hat.  m_init must be positive and finite (ValueError).
+    joint refinement of T and m0.  The segment break m0 stays in the report
+    as m0_hat.  m_init must be positive and finite (ValueError).
     """
     m_init = _positive("m_init", m_init)
     res = _search_segments(ccdf)
-    m0_hat, m1_hat = res["m0"], res["m1"]
-    slope1, slope2, slope3 = res["slopes"]
+    (slope1, slope2, slope3), m1 = res.pop("slopes"), res.pop("m1")
     if slope1 >= 0.0:
         raise EstimationError("exponential window has non-decaying CCDF")
     if slope2 >= 0.0 or slope3 >= 0.0:
@@ -485,19 +491,8 @@ def fit_full(ccdf: EmpiricalCCDF, m_init: float) -> FitReport:
     try:
         params = normalize(ModelParams(
             T=T_bg, T1=T_bg, alpha=alpha, alpha1=alpha1,
-            m0=m0_hat, m1=m1_hat, m_init=m_init,
+            m0=res["m0_hat"], m1=m1, m_init=m_init,
         ))
     except ValueError as exc:  # TailDivergenceError among them
         raise EstimationError(f"segment fits give no valid model: {exc}") from exc
-    refined = refine_temperature(ccdf, params)
-    return FitReport(
-        params=refined,
-        T_bg=T_bg,
-        alpha_fit=alpha, alpha_se=res["slope_se"][0],
-        alpha1_fit=alpha1, alpha1_se=res["slope_se"][1],
-        m0_hat=m0_hat, m0_rel_unc=res["m0_rel_unc"],
-        m1_hat=m1_hat, m1_rel_unc=res["m1_rel_unc"],
-        ssr_per_segment=res["ssr"],
-        refined_T=refined.T,
-        degenerate_tail=res["degenerate"],
-    )
+    return FitReport(params=refine_temperature(ccdf, params), T_bg=T_bg, **res)

@@ -519,7 +519,7 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
         raise ValueError("all incomes must be >= m_init")
-    m_hi = float(arr.max()) * (1.0 + 1e-12)  # as in ccdf_eval_many
+    m_hi = min(float(arr.max()) * (1.0 + 1e-12), _HUGE)  # as in ccdf_eval_many
     nodes = _table_grid(m_init, m1, m_hi, _MISFIT_GRID)
     # in place: at most four arrays of len(ms) are live at once, log_p among them
     t, grid = np.log(arr), np.log(nodes)

@@ -248,9 +248,9 @@ def test_criterion_8_invariant_suite(params06, params08, ccdf08_noiseless):
         abs(scaled.T_bg / (lam * base.T_bg) - 1.0),
         abs(scaled.params.T / (lam * base.params.T) - 1.0),
         abs(scaled.m0_hat / (lam * base.m0_hat) - 1.0),
-        abs(scaled.m1_hat / (lam * base.m1_hat) - 1.0),
-        abs(scaled.alpha_fit / base.alpha_fit - 1.0),
-        abs(scaled.alpha1_fit / base.alpha1_fit - 1.0),
+        abs(scaled.params.m1 / (lam * base.params.m1) - 1.0),
+        abs(scaled.params.alpha / base.params.alpha - 1.0),
+        abs(scaled.params.alpha1 / base.params.alpha1 - 1.0),
     )
 
     elapsed = time.perf_counter() - t0

@@ -228,9 +228,9 @@ def test_fit_deterministic_bytes(tmp_path, ccdf08_noiseless):
     assert main(["fit", str(data), "--output", str(out2), "--quiet"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     obj = json.loads(out1.read_text(encoding="utf-8"))
-    assert set(obj) >= {"params", "T_bg", "alpha_fit", "alpha1_fit",
-                        "m0_hat", "m1_hat", "refined_T"}
-    assert 0.0 < obj["m0_hat"] < obj["m1_hat"]
+    assert set(obj) == {"params", "T_bg", "m0_hat", "alpha_se", "alpha1_se", "m0_rel_unc",
+                        "m1_rel_unc", "ssr_per_segment", "degenerate_tail"}
+    assert 0.0 < obj["m0_hat"] < obj["params"]["m1"]
     assert obj["degenerate_tail"] is False
 
 
@@ -242,6 +242,18 @@ def test_fit_accepts_spaced_ccdf_header(tmp_path, ccdf08_noiseless):
     out = tmp_path / "fit.json"
     assert main(["fit", str(data), "--output", str(out), "--quiet"]) == 0
     assert "params" in json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_fit_reads_a_ccdf_export_without_its_header(tmp_path, ccdf08_noiseless):
+    # two cells on the first non-blank line make a CCDF, with or without the header
+    data, bare = tmp_path / "ccdf.csv", tmp_path / "bare.csv"
+    ccdf08_noiseless.to_csv(data)
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    _write(bare, "\n" + "".join(lines[1:]))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for src, out in zip((data, bare), outs):
+        assert main(["fit", str(src), "--output", str(out), "--quiet"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # ---------------------------------------------------------------- eval
@@ -573,14 +585,12 @@ def test_json_writers_pin_key_order_and_number_format():
         '{"f_high": 0.1, "f_low": 60.0, "f_med": 39.9, "gini": null, "median": 12345.5, '
         '"r1": 0.3333333333333333, "r2": 399.0}')
     params = ModelParams(T=1.0, T1=2.0, alpha=1.5, alpha1=0.5, m0=10.0, m1=100.0, m_init=0.01)
-    report = FitReport(params=params, T_bg=1.0, alpha_fit=1.5, alpha_se=0.0625, alpha1_fit=0.5,
-                       alpha1_se=1e-05, m0_hat=10.0, m0_rel_unc=0.1, m1_hat=100.0,
-                       m1_rel_unc=0.2, ssr_per_segment=(1.0, 2.5, 1e-20), refined_T=1.25)
+    report = FitReport(params=params, T_bg=1.0, alpha_se=0.0625, alpha1_se=1e-05, m0_hat=10.0,
+                       m0_rel_unc=0.1, m1_rel_unc=0.2, ssr_per_segment=(1.0, 2.5, 1e-20))
     assert report.to_json() == (
-        '{"T_bg": 1.0, "alpha1_fit": 0.5, "alpha1_se": 1e-05, "alpha_fit": 1.5, '
-        '"alpha_se": 0.0625, "degenerate_tail": false, "m0_hat": 10.0, "m0_rel_unc": 0.1, '
-        '"m1_hat": 100.0, "m1_rel_unc": 0.2, "params": {"T": 1.0, "T1": 2.0, "alpha": 1.5, '
-        '"alpha1": 0.5, "m0": 10.0, "m1": 100.0, "m_init": 0.01}, "refined_T": 1.25, '
+        '{"T_bg": 1.0, "alpha1_se": 1e-05, "alpha_se": 0.0625, "degenerate_tail": false, '
+        '"m0_hat": 10.0, "m0_rel_unc": 0.1, "m1_rel_unc": 0.2, "params": {"T": 1.0, "T1": 2.0, '
+        '"alpha": 1.5, "alpha1": 0.5, "m0": 10.0, "m1": 100.0, "m_init": 0.01}, '
         '"ssr_per_segment": [1.0, 2.5, 1e-20]}')
 
 

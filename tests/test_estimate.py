@@ -57,13 +57,13 @@ def test_prefix_ols_matches_polyfit():
 @pytest.mark.parametrize("cuts", [[0, 1000], [0, 5, 17, 400, 995, 1000], [3, 4, 999]])
 def test_prefix_ols_sums_at_the_cuts_equal_the_full_tables(cuts):
     # the sums kept at the cuts are the full-length prefix tables read there,
-    # bit for bit: the same cumsum, consumed in place
+    # bit for bit: the same cumsum, consumed in place, with x in the table's units
     rng = np.random.default_rng(7)
     x = np.sort(rng.lognormal(size=1000))
     y = -x + rng.normal(scale=0.1, size=1000)
     cuts = np.array(cuts)
     ols = _PrefixOLS(x, y, cuts)
-    cx, cy = x - ols.x_shift, y - ols.y_shift
+    cx, cy = np.ldexp(x - ols.x_shift, -ols.x_exp), y - ols.y_shift
     for name, v in [("sx", cx), ("sy", cy), ("sxx", cx * cx), ("sxy", cx * cy),
                     ("syy", cy * cy)]:
         full = np.concatenate([[0], np.cumsum(v)])
@@ -186,7 +186,7 @@ def test_detect_optimal_over_grid(params08):
     cuts = np.concatenate([[0], idx, [ccdf.n]])
     lin = _PrefixOLS(x, lnp, cuts)
     loglog = _PrefixOLS(lnx, lnp, cuts)
-    best = sum(res["ssr"])
+    best = sum(res["ssr_per_segment"])
     rng = np.random.default_rng(1)
     for _ in range(300):
         i, j = sorted(rng.choice(idx, size=2, replace=False))
@@ -325,27 +325,30 @@ def test_refine_is_no_worse_than_nelder_mead(params08, ccdf08_noiseless, data):
 def test_fit_full_report_structure(params08):
     samp = sample_incomes(params08, 30000, seed=77)
     report = fit_full(rank_ccdf(samp), 0.01)
-    assert report.m0_hat < report.m1_hat
-    assert report.T_bg <= report.refined_T <= 1.5 * report.T_bg * (1 + 1e-12)
+    assert report.m0_hat < report.params.m1
+    assert report.T_bg <= report.params.T <= 1.5 * report.T_bg * (1 + 1e-12)
     assert ccdf_eval(report.params, report.params.m_init) == pytest.approx(1.0, abs=1e-12)
-    assert report.params.T == report.refined_T
     assert report.params.T1 == report.params.T
-    assert abs(report.alpha_fit / params08.alpha - 1.0) < 0.08
+    assert abs(report.params.alpha / params08.alpha - 1.0) < 0.08
     assert report.alpha_se >= 0.0 and report.alpha1_se >= 0.0
     assert not report.degenerate_tail
-    # JSON round trip carries every reported field
+    # JSON round trip carries every reported field, and the law only once
     import json
     obj = json.loads(report.to_json())
+    assert set(obj) == {"params", "T_bg", "m0_hat", "alpha_se", "alpha1_se", "m0_rel_unc",
+                        "m1_rel_unc", "ssr_per_segment", "degenerate_tail"}
     assert obj["T_bg"] == report.T_bg
     assert obj["m0_hat"] == report.m0_hat
     assert len(obj["ssr_per_segment"]) == 3
     assert "alpha" in obj["params"]
     text = report.summary()
     assert "alpha" in text and "m0" in text
-    # the record checks its own invariants
-    for bad, message in ((dict(m0_hat=report.m1_hat), "^m0_hat must be below m1_hat$"),
+    # the record checks its own invariants, on the law it holds
+    cold, hot = (replace(report.params, T=f * report.T_bg, T1=f * report.T_bg) for f in (0.5, 2.0))
+    off_range = r"^params.T must lie in \[T_bg, 1.5 T_bg\]$"
+    for bad, message in ((dict(m0_hat=report.params.m1), "^m0_hat must be below params.m1$"),
                          (dict(m1_rel_unc=-0.1), "^uncertainties must be non-negative$"),
-                         (dict(refined_T=2.0 * report.T_bg), r"^refined_T must lie in \[T_bg, 1.5 T_bg\]$")):
+                         (dict(params=cold), off_range), (dict(params=hot), off_range)):
         with pytest.raises(ValueError, match=message):
             replace(report, **bad)
 
@@ -360,17 +363,37 @@ def test_fit_full_deterministic(params08):
 
 @pytest.mark.filterwarnings("ignore::incomedist.DegenerateTailWarning")
 def test_fit_full_scale_covariance(params08):
+    # at a power of two the segment values scale exactly, however far from 1
     samp = sample_incomes(params08, 5000, seed=13)
-    lam = 2.25
     a = fit_full(rank_ccdf(samp), 0.01)
-    b = fit_full(rank_ccdf(lam * samp), 0.01 * lam)
-    assert b.T_bg == pytest.approx(lam * a.T_bg, rel=1e-9)
-    assert b.refined_T == pytest.approx(lam * a.refined_T, rel=1e-3)
-    assert b.m0_hat == pytest.approx(lam * a.m0_hat, rel=1e-12)
+    for lam in (2.25, 2.0 ** 600, 2.0 ** -600):
+        b = fit_full(rank_ccdf(lam * samp), 0.01 * lam)
+        if lam != 2.25:
+            assert (b.T_bg, b.m0_hat) == (lam * a.T_bg, lam * a.m0_hat)
+        assert b.T_bg == pytest.approx(lam * a.T_bg, rel=1e-9)
+        assert b.params.T == pytest.approx(lam * a.params.T, rel=1e-3)
+        assert b.m0_hat == pytest.approx(lam * a.m0_hat, rel=1e-12)
+        assert b.params.m0 == pytest.approx(lam * a.params.m0, rel=1e-3)
+        assert b.params.m1 == pytest.approx(lam * a.params.m1, rel=1e-12)
+        assert b.params.alpha == pytest.approx(a.params.alpha, rel=1e-9)
+        assert b.params.alpha1 == pytest.approx(a.params.alpha1, rel=1e-9)
+
+
+def test_fit_full_runs_up_to_the_largest_float(params08):
+    # no square of a raw income overflows, and the misfit grid's top stays
+    # finite when the largest income is the largest float
+    samp = sample_incomes(params08, 20_000, seed=3)
+    top = np.finfo(float).max
+    lam = top / samp.max()
+    scaled = samp * lam
+    scaled[np.argmax(scaled)] = top
+    a = fit_full(rank_ccdf(samp), 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b = fit_full(rank_ccdf(scaled), 0.01 * lam)
+    assert b.params.T == pytest.approx(lam * a.params.T, rel=1e-3)
     assert b.params.m0 == pytest.approx(lam * a.params.m0, rel=1e-3)
-    assert b.m1_hat == pytest.approx(lam * a.m1_hat, rel=1e-12)
-    assert b.alpha_fit == pytest.approx(a.alpha_fit, rel=1e-9)
-    assert b.alpha1_fit == pytest.approx(a.alpha1_fit, rel=1e-9)
+    assert b.params.alpha == pytest.approx(a.params.alpha, rel=1e-9)
 
 
 @given(st.floats(0.5, 3.0), st.floats(1e2, 1e7))
@@ -456,8 +479,8 @@ def test_heavy_tail_segment_fits_match_two_pass_ols(heavy_tail_ccdf):
     lnx, lnp = np.log(x), np.log(heavy_tail_ccdf.p[::-1])
     report = fit_full(heavy_tail_ccdf, 0.01)
     assert report.T_bg == pytest.approx(-1.0 / _ols_slope(x[:i], lnp[:i]), rel=1e-9)
-    assert report.alpha_fit == pytest.approx(-_ols_slope(lnx[i:j], lnp[i:j]), rel=1e-9)
-    assert report.alpha1_fit == pytest.approx(-_ols_slope(lnx[j:], lnp[j:]), rel=1e-9)
+    assert report.params.alpha == pytest.approx(-_ols_slope(lnx[i:j], lnp[i:j]), rel=1e-9)
+    assert report.params.alpha1 == pytest.approx(-_ols_slope(lnx[j:], lnp[j:]), rel=1e-9)
 
 
 def test_segment_fit_keeps_ties_where_the_search_put_them(params08):
@@ -468,10 +491,10 @@ def test_segment_fit_keeps_ties_where_the_search_put_them(params08):
     i, j = _two_pass_search(ccdf)
     x = ccdf.incomes[::-1]
     report = fit_full(ccdf, 0.01)
-    assert (report.m0_hat, report.m1_hat) == (x[i], x[j])
+    assert (report.m0_hat, report.params.m1) == (x[i], x[j])
     assert x[i - 1] == report.m0_hat
     lnx, lnp = np.log(x), np.log(ccdf.p[::-1])
-    assert report.alpha_fit == pytest.approx(-_ols_slope(lnx[i:j], lnp[i:j]), rel=1e-9)
+    assert report.params.alpha == pytest.approx(-_ols_slope(lnx[i:j], lnp[i:j]), rel=1e-9)
 
 
 def test_fit_full_builds_only_the_search_tables(monkeypatch, params08):
