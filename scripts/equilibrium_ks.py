@@ -41,7 +41,8 @@ def main() -> None:
                        dt=args.dt, n_steps=args.n_steps, n_paths=args.n_paths,
                        seed=args.seed)
     print(f"wave {args.year}: dt={args.dt:g} (stability bound "
-          f"{stability_bound(coeffs):.4g}), {args.n_steps} steps, "
+          f"{stability_bound(coeffs):.4g}, dt/tau={args.dt * coeffs.A0 / coeffs.B0 * coeffs.A0:.4g} "
+          f"with tau = B0/A0^2), {args.n_steps} steps, "
           f"{args.n_paths} paths, seed {args.seed}")
     t0 = time.perf_counter()
     ens = run_ensemble(config, dtype="float64" if args.float64 else "float32")

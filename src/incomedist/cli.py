@@ -176,7 +176,9 @@ def cmd_simulate(args) -> int:
         print("ks: undefined (no normalizable equilibrium)")
     else:
         print(f"ks: {ks_distance(ens.samples, params)!r}")
-    _say(args, f"wrote {out} ({config.n_paths} paths, dt={config.dt:.6g}, "
+    c = config.coeffs  # dt against the bulk's relaxation time tau = B0 / A0^2
+    dt_tau = f"{config.dt * c.A0 / c.B0 * c.A0:.4g}" if c.A0 > 0.0 else "undefined"
+    _say(args, f"wrote {out} ({config.n_paths} paths, dt={config.dt:.6g}, dt/tau={dt_tau}, "
                f"{config.n_steps} steps, {ens.n_reflections} reflections)")
     return 0
 
@@ -264,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="threshold income (coefficient input only, where it is required)")
     sp.add_argument("--m-init", type=float, dest="m_init",
                     help="reflecting floor (coefficient input only; default 0.01)")
-    sp.add_argument("--initial", type=float, help="common initial income (default: additive-regime mean)")
+    sp.add_argument("--initial", type=float,
+                    help="common initial income (default: the temperature B0/A0, "
+                         "or m_init where that is lower or A0 = 0)")
     sp.add_argument("--float32", action="store_true", help="single-precision paths (faster)")
     sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
     sp.set_defaults(func=cmd_simulate, default_output="samples.csv")

@@ -39,8 +39,9 @@ alpha1 and m1 keep their segment values.  The refinement's table grid is
 fixed, so the misfit is a quadratic form in the 800 node log CCDFs, built
 once per fit, and a Gauss-Newton step solves its 2 x 2 normal equations
 (Nocedal & Wright, Numerical Optimization, ch. 10).  The first node's tail
-mass is the normalization integral, so trial points need no normalize: a
-step costs three engine passes and O(grid), not O(points).
+mass is the normalization integral, so trial points need no normalize, and
+the pass that scores a point also gives its exact Jacobian: a step costs
+one engine pass and O(grid), not O(points).
 
 Everything is OLS on log plotting positions, not maximum likelihood.  The
 residuals of such a fit are partial sums of independent order-statistic
@@ -430,13 +431,14 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     data point, f = v.G.v - 2 h.v + c in the log CCDF v on one 800-node
     ccdf_table grid (`model._log_ccdf_misfit`, built once per call), by
     projected Gauss-Newton in u = (ln T/T_start, ln m0/m0_start), which is
-    covariant under income rescaling.  A step takes J = dv/du by backward
-    differences, so no point puts m0 above m1, solves (J'GJ) d = J'(h - Gv)
-    in the coordinates no bound holds, clips d to the box (m0 in (m_init,
-    m1]) and halves it until f falls; the search stops at a step below 1e-9.
-    No trial point's constants are derived: v divides by the tail mass at
-    m_init.  T1 moves with T whenever the input had T1 = T.  Returns the
-    normalized optimum, or the input unchanged when no finite score improves on it.
+    covariant under income rescaling.  Each point is scored by one engine
+    pass, which also gives the exact J = dv/du.  A step solves
+    (J'GJ) d = J'(h - Gv) in the coordinates no bound holds, clips d to the
+    box (m0 in (m_init, m1]) and halves it until f falls; the search stops
+    at a step below 1e-9.  No trial point's constants are derived: v divides
+    by the tail mass at m_init.  T1 moves with T whenever the input had
+    T1 = T.  Returns the normalized optimum, or the input unchanged when no
+    finite score improves on it.
     """
     tied = params.T1 == params.T
     log_tails, gram, h = _log_ccdf_misfit(ccdf.incomes, np.log(ccdf.p), params.m_init, params.m1)
@@ -447,15 +449,9 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
         T, m0 = params.T * math.exp(u[0]), min(params.m0 * math.exp(u[1]), params.m1)
         return replace(params, T=T, T1=(T if tied else params.T1), m0=m0) if params.m_init < m0 else None
 
-    def tails(u):
-        return None if (trial := at(u)) is None else log_tails(trial)
-
-    u, v, step = np.zeros(2), log_tails(params), np.ones(2)
-    while v is not None and np.max(np.abs(step)) >= 1e-9:
-        back = [tails(u - 1e-6 * e) for e in np.eye(2)]
-        if any(b is None for b in back):
-            break
-        J = (v[:, None] - np.column_stack(back)) / 1e-6
+    u, scored, step = np.zeros(2), log_tails(params), np.ones(2)
+    while scored is not None and np.max(np.abs(step)) >= 1e-9:
+        v, J = scored
         r = gram(v) - h  # half the gradient of f in v
         g = -(J.T @ r)
         free = ~(((u <= lo) & (g < 0.0)) | ((u >= hi) & (g > 0.0)))  # bounds the descent presses on
@@ -463,10 +459,10 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
         step[free] = np.linalg.lstsq((J.T @ gram(J))[np.ix_(free, free)], g[free], rcond=None)[0]
         step = np.clip(u + step, lo, hi) - u
         while np.max(np.abs(step)) >= 1e-9:
-            v_try = tails(u + step)
-            # f(v_try) - f(v) as dv.(2 r + G dv): no cancellation of f's large digits
-            if v_try is not None and (v_try - v) @ (2.0 * r + gram(v_try - v)) < 0.0:
-                u, v = u + step, v_try
+            trial = None if (point := at(u + step)) is None else log_tails(point)
+            # f(v_trial) - f(v) as dv.(2 r + G dv): no cancellation of f's large digits
+            if trial is not None and (trial[0] - v) @ (2.0 * r + gram(trial[0] - v)) < 0.0:
+                u, scored = u + step, trial
                 break
             step /= 2.0
     return normalize(at(u)) if u.any() else params

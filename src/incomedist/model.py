@@ -335,13 +335,18 @@ def _split(n):
 
 
 def _kronrod(f, lo, hi):
-    """K21 integrals of f over the pieces [lo, hi], and their |K21 - G10| estimates."""
+    """K21 integrals of f over the pieces [lo, hi], and their |K21 - G10| estimates.
+
+    f maps the nodes, shape (pieces, 21), to values of that shape, or to a
+    stack of integrands of shape (..., pieces, 21); each is integrated.
+    """
     half = 0.5 * (hi - lo)
     kg = f((lo + half)[:, None] + half[:, None] * _GK_X) @ _GK_W
-    return half * kg[:, 0], half * np.abs(kg[:, 1])
+    return half * kg[..., 0], half * np.abs(kg[..., 1])
 
 
-def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bool = True):
+def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bool = True,
+                tied: bool | None = None):
     """Tail mass above each of the ascending incomes ms for branch constants c_lo, c_hi.
 
     Returns the masses and the summed |K21 - G10| estimate of their error,
@@ -360,6 +365,17 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     intervals from the top.  The last interval's remainder below
     _NEAR0 / max(k, 1) is a series.  Every node lies in the law's domain
     (_incomes), so no piece lies below _TINY.
+
+    With tied given, a closed pass for c_hi / c_lo = continuity_ratio(params)
+    (the fit's misfit) also returns the derivatives of the masses in
+    (ln T, ln m0), shape (len(ms), 2), at fixed c_lo and with T1 moving with
+    T where tied, all from the same pieces.  d/d ln k' of exp(k' (w - pi/2))
+    is k' (w - pi/2) times it, so the pass integrates that column beside the
+    mass (the closing series has its own), and the upper branch adds the
+    continuity ratio's closed-form derivatives times its mass.  In ln m0 the
+    limits move too, dw/d ln m0 = sin w cos w; the branches meet
+    continuously at m1, so those terms telescope to the density at each node
+    times sin w cos w.
     """
     ms = np.asarray(ms, dtype=float)
     inside = ms[0] < params.m1 and (closed or params.m1 < ms[-1])
@@ -390,15 +406,38 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     # every piece lies above eps >= _TINY, where sin(w)^(a-1) <= pi/(2 w) is
     # finite; exp(-k pi/2) stays inside the exponent: split off, exp(k w) would
     # overflow once k w exceeds ~709 even where the integrand itself is tiny
-    mass, err = _kronrod(lambda w: np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw, lo, hi)
+    def integrand(w):
+        f = np.exp(kw * (w - _HALF_PI)) * np.sin(w) ** pw
+        return f if tied is None else np.stack((f, (w - _HALF_PI) * f))
+
+    mass, err = _kronrod(integrand, lo, hi)
+    if tied is not None:
+        mass, moment, err = mass[0], mass[1], err[0]
     c = np.where(upper, c_hi, c_lo)
     mass = c * np.bincount(owner, mass, nodes.size)
     err = np.bincount(owner, err, nodes.size)
     if closed:  # series on [0, eps]: exp(k w) sin(w)^(a-1) = w^(a-1) (1 + k w + (k^2/2 - (a-1)/6) w^2 ...)
-        mass[-1] += c_hi * math.exp(-k1 * _HALF_PI) * eps**a1 * (
+        lead = c_hi * math.exp(-k1 * _HALF_PI) * eps**a1
+        series = lead * (
             1.0 / a1 + k1 * eps / (a1 + 1.0) + (0.5 * k1 * k1 - (a1 - 1.0) / 6.0) * eps * eps / (a1 + 2.0))
+        mass[-1] += series
     tail = np.cumsum(mass[::-1])[::-1]
-    return params.m0 * tail[np.searchsorted(nodes, ms)], params.m0 * (c @ err)
+    at = np.searchsorted(nodes, ms)
+    if tied is None:
+        return params.m0 * tail[at], params.m0 * (c @ err)
+    moment = c * np.bincount(owner, moment, nodes.size)
+    moment[-1] += lead * eps * (1.0 / (a1 + 1.0) + k1 * eps / (a1 + 2.0)) - _HALF_PI * series
+    # the continuity ratio's log m0 (1/T1 - 1/T) atan(x1) + (alpha1 - alpha)/2 log(1 + x1^2), x1 = m1/m0
+    k_lo, u1 = params.m0 / params.T, math.atan(params.m1 / params.m0)
+    w1 = math.atan2(params.m0, params.m1)
+    d_ratio = (0.0 if tied else k_lo * u1,
+               (k1 - k_lo) * (u1 - math.sin(w1) * math.cos(w1)) - (a1 - params.alpha) * math.cos(w1) ** 2)
+    d_k = np.where(upper[:, None], (-float(tied), 1.0), (-1.0, 1.0))  # d ln k' / d (ln T, ln m0)
+    d_mass = (k * moment)[:, None] * d_k + np.where(upper, mass, 0.0)[:, None] * d_ratio
+    d_tail = np.cumsum(d_mass[::-1], axis=0)[::-1]
+    # the factor m0 and the moving limits
+    d_tail[:, 1] += tail + c * np.exp(k * (w_hi - _HALF_PI)) * np.sin(w_hi) ** alpha * np.cos(w_hi)
+    return params.m0 * tail[at], params.m0 * (c @ err), params.m0 * d_tail[at]
 
 
 def normalize(params: ModelParams) -> ModelParams:
@@ -512,9 +551,12 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
     is m_init, whose tail mass is the normalization integral, so
     log_tails(params), v = log(tails) - log(tails[0]) from one _ccdf_nodes
     pass with c_lo = 1 and c_hi the continuity ratio, never derives the
-    law's constants.  The sum's rounding floor is ~1e-16 sum(log_p^2).  v is
-    None (the sum inf) for a tail that underflows on the grid, a zero or
-    infinite integral, or a law whose domain ends below the grid's top or m1.
+    law's constants.  The same pass gives the exact J = dv / d(ln T, ln m0),
+    shape (n, 2), with T1 moving with T where they are equal, and
+    log_tails returns (v, J).  The sum's rounding floor is ~1e-16
+    sum(log_p^2).  log_tails returns None (the sum inf) for a tail that
+    underflows on the grid, a zero or infinite integral, or a law whose
+    domain ends below the grid's top or m1.
     """
     arr = np.asarray(ms, dtype=float)
     if np.any(arr < m_init):
@@ -546,10 +588,13 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
         if max(m_hi, m1) > _top(params):
             return None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tails, _ = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params))
+            tails, _, d_tails = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params),
+                                            tied=params.T1 == params.T)
             v = np.log(tails)
             v -= v[0]
-        return v if np.all(np.isfinite(v)) else None
+            J = d_tails / tails[:, None]
+            J -= J[0]
+        return (v, J) if np.all(np.isfinite(v)) and np.all(np.isfinite(J)) else None
 
     def gram(x):
         d, o = (diag, off) if x.ndim == 1 else (diag[:, None], off[:, None])

@@ -212,12 +212,13 @@ def _run_block(config: SimConfig, m0_block: np.ndarray, seed_seq: np.random.Seed
 def run_ensemble(config: SimConfig, initial=None, *, dtype="float64") -> Ensemble:
     """Integrate n_paths trajectories and return their final incomes.
 
-    initial: None (all paths at the low-regime temperature B0/A0), a scalar,
-    or an array of n_paths finite starting incomes >= m_init (e.g.
-    equilibrium samples for a stationarity check).  Each 16384-path block
-    consumes its own child of SeedSequence(config.seed), and the blocks run
-    on a thread pool of min(n_blocks, available CPUs) workers; results do
-    not depend on the thread count or the schedule.
+    initial: None (all paths at the low-regime temperature B0/A0, or at
+    m_init where that is lower or A0 = 0), a scalar, or an array of n_paths
+    finite starting incomes >= m_init (e.g. equilibrium samples for a
+    stationarity check).  Each 16384-path block consumes its own child of
+    SeedSequence(config.seed), and the blocks run on a thread pool of
+    min(n_blocks, available CPUs) workers; results do not depend on the
+    thread count or the schedule.
     dtype: "float64" or "float32"; float32 makes the update cheaper and
     halves the buffers, not the noise cost, and its squared incomes overflow
     above about 1.8e19 (ValueError).

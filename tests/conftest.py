@@ -85,6 +85,9 @@ def direct_misfit(ms, log_p, m_init, m1):
     (log_tails, gram, h), built from ccdf_table on the misfit's
     model._MISFIT_GRID nodes and an explicit sparse interpolation matrix A
     from the table's log nodes to log ms: gram(x) = A'(A x) and h = A' log_p.
+    log_tails returns (v, J) with J = dv/d(ln T, ln m0) from the engine's
+    own pass (model._log_ccdf_misfit): the reference checks the quadratic
+    form, and test_model checks J against differences of v.
     """
     from scipy import sparse
 
@@ -103,9 +106,11 @@ def direct_misfit(ms, log_p, m_init, m1):
             resid = np.interp(log_ms, grid, log_ccdf(params)) - log_p
         return float(resid @ resid)
 
+    engine_log_tails, _, _ = model._log_ccdf_misfit(ms, log_p, m_init, m1)
+
     def log_tails(params):
-        v = log_ccdf(params)
-        return v if np.all(np.isfinite(v)) else None
+        v, scored = log_ccdf(params), engine_log_tails(params)
+        return (v, scored[1]) if np.all(np.isfinite(v)) and scored is not None else None
 
     j = np.clip(np.searchsorted(grid, log_ms, side="right") - 1, 0, grid.size - 2)
     w = (log_ms - grid[j]) / (grid[j + 1] - grid[j])

@@ -45,6 +45,7 @@ from incomedist import (
     preset_params,
     run_ensemble,
     sample_incomes,
+    stability_bound,
 )
 from incomedist.cli import main
 
@@ -510,6 +511,24 @@ def test_bad_params_json_exit2(tmp_path, capsys, name, argv):
     if name == "partial" and argv[0] != "simulate":
         assert "missing keys" in err
     assert not out.exists()
+
+
+def test_simulate_reports_dt_over_tau(tmp_path, params08, capsys):
+    # dt against the bulk's relaxation time tau = B0 / A0^2, beside dt; the
+    # default dt of a params input is 1% of the stability bound
+    coeffs = effective_to_coeffs(params08)
+    dt = 0.01 * stability_bound(coeffs)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", str(_params_json(tmp_path, params08)), "--n-steps", "5", "--n-paths", "10",
+                 "--output", str(out)]) == 0
+    assert f", dt={dt:.6g}, dt/tau={dt * coeffs.A0 ** 2 / coeffs.B0:.4g}, 5 steps" in capsys.readouterr().out
+    assert f"{dt * coeffs.A0 ** 2 / coeffs.B0:.4g}" == "0.03302"  # about tau/30 on 2008
+    # A0 = 0: no temperature, so no tau
+    cfile = tmp_path / "coeffs.json"
+    _write(cfile, json.dumps({"A0": 0, "a": 1.9, "A0_hi": 0, "a_hi": -0.2, "B0": 1, "b": 1}))
+    assert main(["simulate", str(cfile), "--m1", "5", "--dt", "1e-3", "--n-steps", "5", "--n-paths", "10",
+                 "--output", str(out)]) == 0
+    assert "wrote " + str(out) + " (10 paths, dt=0.001, dt/tau=undefined, 5 steps, " in capsys.readouterr().out
 
 
 def test_simulate_ignores_unknown_json_keys(tmp_path):

@@ -259,9 +259,9 @@ def _counted_refine(monkeypatch, ccdf, params):
     counts = {"passes": 0, "normalize": 0}
 
     def counted(name, f):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return f(*args)
+            return f(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(model, "_ccdf_nodes", counted("passes", model._ccdf_nodes))
@@ -279,6 +279,30 @@ def test_refine_makes_at_most_40_engine_passes(monkeypatch, params08):
     assert refined == report.params  # the refinement moved, to the fit's result
     assert counts["normalize"] == 1  # the returned point only
     assert counts["passes"] <= 40 + 1  # and normalize's own
+
+
+def test_refine_makes_one_engine_pass_per_point_it_scores(monkeypatch, params08):
+    # criterion 6's draw, from the segment values: the pass that scores a
+    # point also gives its J, so the start and each trial point cost one pass
+    ccdf = rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
+    report = fit_full(ccdf, params08.m_init)
+    start = normalize(replace(report.params, T=report.T_bg, T1=report.T_bg, m0=report.m0_hat))
+    tails, grams, misfit = [], [], estimate._log_ccdf_misfit
+
+    def recorded(*args):
+        log_tails, gram, h = misfit(*args)
+        return (lambda params: tails.append((params.T, params.m0)) or log_tails(params),
+                lambda x: grams.append(x.ndim) or gram(x), h)
+
+    monkeypatch.setattr(estimate, "_log_ccdf_misfit", recorded)
+    refined, counts = _counted_refine(monkeypatch, ccdf, start)
+    assert refined == report.params
+    # a step takes G J once and G v at its iterate once, and a trial point's
+    # score takes G (v_try - v) once
+    steps, trials = grams.count(2), grams.count(1) - grams.count(2)
+    assert steps >= 2
+    assert tails[0] == (start.T, start.m0) and len(set(tails)) == len(tails) == 1 + trials
+    assert counts == {"passes": 1 + trials + 1, "normalize": 1}  # and normalize's own
 
 
 def test_refine_that_returns_its_input_never_normalizes(monkeypatch, params08):

@@ -957,8 +957,11 @@ def _summed(ms, log_p, m_init, m1):
     c = float(log_p @ log_p)
 
     def misfit(params):
-        v = log_tails(params)
-        return math.inf if v is None else float(v @ (gram(v) - 2.0 * h)) + c
+        scored = log_tails(params)
+        if scored is None:
+            return math.inf
+        v, _ = scored
+        return float(v @ (gram(v) - 2.0 * h)) + c
 
     return misfit
 
@@ -1023,6 +1026,64 @@ def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
     for params in (params08, _in_box(params08, 1.3, 0.7)):
         assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)
     assert fast(params08) > 1.0  # the noise is seen, not only the rounding floor
+
+
+def _difference_jacobian(log_ccdf, params, h=1e-5):
+    """dv/d(ln T, ln m0) of v = log_ccdf(params) by central differences of width h.
+
+    T1 moves with T where they are equal.  Where m0 e^h would pass m1 the ln m0
+    column is the second-order backward difference (3 v(0) - 4 v(-h) + v(-2h)) / 2h.
+    """
+    tied = params.T1 == params.T
+
+    def at(d_ln_T, d_ln_m0):
+        T = params.T * math.exp(d_ln_T)
+        return log_ccdf(replace(params, T=T, T1=T if tied else params.T1, m0=params.m0 * math.exp(d_ln_m0)))
+
+    d_T = (at(h, 0.0) - at(-h, 0.0)) / (2.0 * h)
+    if params.m0 * math.exp(h) <= params.m1:
+        d_m0 = (at(0.0, h) - at(0.0, -h)) / (2.0 * h)
+    else:
+        d_m0 = (3.0 * at(0.0, 0.0) - 4.0 * at(0.0, -h) + at(0.0, -2.0 * h)) / (2.0 * h)
+    return np.column_stack((d_T, d_m0))
+
+
+def _jacobian_error(law, ms):
+    """max |J - differences| of the misfit pass's J at law, and max |J|."""
+    log_tails, _, _ = _log_ccdf_misfit(ms, np.zeros(ms.size), law.m_init, law.m1)
+    v, J = log_tails(law)
+    assert J.shape == (v.size, 2) and not J[0].any()  # v[0] = 0 at every law
+    reference = _difference_jacobian(lambda params: log_tails(params)[0], law)
+    return float(np.max(np.abs(J - reference))), float(np.max(np.abs(J)))
+
+
+# The differences of width 1e-5 are good to ~1e-9 here: their truncation is
+# h^2 / 6 times the third derivative, their rounding ~1e-16 |v| / h.
+_JACOBIAN_ATOL = 1e-8
+
+
+@pytest.mark.parametrize("case", ["tied", "untied", "heavy", "heavy untied", "m0 = m1"])
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_log_ccdf_misfit_jacobian_matches_differences(year, case):
+    # the refinement's J = dv/d(ln T, ln m0) comes from the pass that scores v
+    params = preset_params(year)
+    law = {"tied": params, "untied": replace(params, T1=1.3 * params.T),
+           "heavy": replace(params, alpha1=0.6), "heavy untied": replace(params, alpha1=0.6, T1=0.7 * params.T),
+           "m0 = m1": replace(params, m0=params.m1)}[case]  # m0 = m1: a backward difference
+    err, size = _jacobian_error(law, sample_incomes(params, 10_000, seed=1))
+    assert size > 1.0
+    assert err <= _JACOBIAN_ATOL
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(["2008", "2006"]), st.booleans(), st.floats(1.0, 1.5), st.floats(0.0, 1.0))
+def test_log_ccdf_misfit_jacobian_matches_differences_across_the_box(year, tied, t, f):
+    # the fit's box: T in [T_bg, 1.5 T_bg], m0 in (m_init, m1], here from 1.01 m_init
+    params = preset_params(year)
+    m0 = 1.01 * params.m_init * (params.m1 / (1.01 * params.m_init)) ** f
+    law = replace(params, T=t * params.T, T1=t * params.T if tied else params.T, m0=m0)
+    err, _ = _jacobian_error(law, sample_incomes(params, 2_000, seed=2))
+    assert err <= _JACOBIAN_ATOL
 
 
 def test_log_ccdf_misfit_is_inf_where_the_tail_underflows(params08):
