@@ -239,7 +239,9 @@ class EmpiricalCCDF:
             raise ValueError("incomes must be positive and finite")
         if np.any(np.diff(inc) > 0.0):
             raise ValueError("incomes must be non-increasing")
-        if np.any(pp <= 0.0) or np.any(pp >= 1.0) or np.any(np.diff(pp) <= 0.0):
+        # as in _positive_finite, min propagates NaN and NaN compares false;
+        # a strictly increasing p lies inside (0, 1) when its ends do
+        if not (pp[0] > 0.0 and pp[-1] < 1.0 and (pp.size == 1 or np.diff(pp).min() > 0.0)):
             raise ValueError("p must be strictly increasing inside (0, 1)")
 
     @property

@@ -126,6 +126,27 @@ def test_fuse_derived_factor_and_report(tmp_path, capsys):
     assert sorted(rows[10:]) == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
 
+def test_fuse_cut_takes_the_survey_incomes_strictly_above_it(tmp_path, capsys):
+    survey, wealth, out = tmp_path / "survey.csv", tmp_path / "wealth.csv", tmp_path / "fused.csv"
+    incomes = np.linspace(10.0, 500.0, 40)
+    _income_csv(survey, incomes)
+    _wealth_csv(wealth, [(0.0, 50_000.0), (0.0, 80_000.0)])
+    # the segment is the 8 incomes above 400, the lowest 412.05...: factor 412.05... / 50,000
+    assert main(["fuse", str(survey), str(wealth), "--cut", "400", "--output", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == "factor: 0.008241025641025641\n"
+    fused = fuse(incomes, [50_000.0, 80_000.0], cut=400.0)
+    assert fused.tolist() == incomes.tolist() + [412.05128205128204, 659.2820512820513]
+    expect = "income\n" + "".join(f"{m!r}\n" for m in fused.tolist())
+    assert out.read_text(encoding="utf-8") == expect
+    out.unlink()
+    for cut in ("500", "600"):  # no survey income lies strictly above the cut
+        assert main(["fuse", str(survey), str(wealth), "--cut", cut, "--output", str(out)]) == 2
+        assert "both income lists must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="both income lists must be non-empty"):
+            fuse(incomes, [50_000.0, 80_000.0], cut=float(cut))
+
+
 def test_fuse_fixed_factor_passthrough(tmp_path, capsys):
     survey = tmp_path / "survey.csv"
     _income_csv(survey, [3.0, 4.0])
@@ -325,6 +346,22 @@ def test_simulate_same_seed_same_bytes(tmp_path, params08, capsys):
     assert a.read_bytes() == b.read_bytes()
     out = capsys.readouterr().out
     assert out.count("ks: ") == 2
+
+
+def test_simulate_float32_writes_the_single_precision_ensemble(tmp_path, params08):
+    pfile = _params_json(tmp_path, params08)
+    out, ref = tmp_path / "s.csv", tmp_path / "ref.csv"
+    args = ["simulate", str(pfile), "--n-steps", "200", "--n-paths", "300", "--seed", "11",
+            "--output", str(out), "--quiet"]
+    coeffs = effective_to_coeffs(params08)
+    # the config a params input runs: dt defaults to 1% of the stability bound
+    config = SimConfig(coeffs=coeffs, m1=params08.m1, m_init=params08.m_init,
+                       dt=0.01 * stability_bound(coeffs), n_steps=200, n_paths=300, seed=11)
+    assert main(args + ["--float32"]) == 0
+    run_ensemble(config, dtype="float32").to_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+    assert main(args) == 0
+    assert out.read_bytes() != ref.read_bytes()
 
 
 def test_simulate_zero_steps_stays_at_initial(tmp_path, params08):
@@ -807,6 +844,15 @@ def test_stats_of_a_tail_past_the_float_range(tmp_path, normal_pieces):
 @example(INTEGRAL_OVERFLOW)  # its raw integral warned as it overflowed
 @example(FAR)
 def test_every_accepted_law_has_a_true_median_or_a_value_error(obj):
+    _true_median_or_value_error(obj)
+
+
+def _true_median_or_value_error(obj) -> bool:
+    """Whether the law returned a median; a ValueError is allowed.
+
+    Otherwise its class fractions must be finite, its median m must satisfy
+    |ccdf_eval(m) - 0.5| <= 1e-6, and no RuntimeWarning may be raised.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -814,9 +860,36 @@ def test_every_accepted_law_has_a_true_median_or_a_value_error(obj):
             fractions = class_fractions(params)
             median = median_income(params)
         except ValueError:
-            return
+            return False
         assert all(math.isfinite(f) for f in fractions)
         assert abs(ccdf_eval(params, median) - 0.5) <= 1e-6
+        return True
+
+
+def _draw_law(rng) -> dict:
+    """One law over the ranges of `_accepted_params`; the draws come in a fixed order."""
+    m_init = 10.0 ** rng.uniform(-100.0, 100.0)
+    m0 = m_init * 10.0 ** rng.uniform(1e-6, 10.0)
+    m1 = m0 * 10.0 ** rng.uniform(0.0, 10.0)
+    alpha1 = 10.0 ** rng.uniform(-6.0, 2.0) if rng.random() < 0.9 else rng.uniform(-5.0, 0.0)
+    T = m0 * 10.0 ** rng.uniform(-100.0, 100.0)
+    T1 = m0 * 10.0 ** rng.uniform(-100.0, 100.0)
+    alpha = 10.0 ** rng.uniform(-6.0, 2.0)
+    return dict(T=T, T1=T1, alpha=alpha, alpha1=alpha1, m0=m0, m1=m1, m_init=m_init)
+
+
+def test_3000_seeded_laws_have_true_medians_or_value_errors():
+    # the same rule over a fixed sweep: at seed 11, 465 of the 3,000 laws
+    # return a median, so the floor of 400 keeps the sweep from passing empty
+    rng = np.random.default_rng(11)
+    medians = 0
+    for _ in range(3000):
+        obj = _draw_law(rng)
+        try:
+            medians += _true_median_or_value_error(obj)
+        except (AssertionError, RuntimeWarning) as exc:
+            raise AssertionError(f"law {obj}") from exc
+    assert medians >= 400, f"{medians} of 3,000 laws returned a median"
 
 
 @pytest.mark.parametrize("raw, message", [(DROPPED, "beyond the float range"),

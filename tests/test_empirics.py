@@ -76,6 +76,18 @@ def test_one_positive_finite_rule_for_income_arrays(bad):
         fit_rank(incomes)
 
 
+@pytest.mark.parametrize("p", [[0.25, np.nan, 0.75], [np.nan, 0.5, 0.75], [0.25, 0.5, np.nan],
+                               [0.0, 0.5, 0.75], [0.25, 0.5, 1.0], [0.25, 0.25, 0.75],
+                               [-np.inf, 0.5, 0.75], [np.nan]],
+                         ids=["nan-mid", "nan-first", "nan-last", "zero", "one", "tie", "-inf", "nan-alone"])
+def test_p_must_be_strictly_increasing_inside_0_1(p):
+    # a NaN position compared false in every check and was accepted: a fit
+    # of such a CCDF then failed as an estimation error, not as bad input
+    incomes = [3.0, 2.0, 1.0][:len(p)]
+    with pytest.raises(ValueError, match=r"^p must be strictly increasing inside \(0, 1\)$"):
+        EmpiricalCCDF(incomes=incomes, p=p)
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     ccdf = rank_ccdf(0.01 + rng.exponential(4e4, size=100))

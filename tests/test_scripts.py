@@ -1,0 +1,89 @@
+"""The scripts under scripts/, run in process.
+
+Each analysis script runs end to end at small sizes (its numbers are not
+checked), and the pure helpers of bench_pairs.py are fed canned runs.
+"""
+
+import pathlib
+import runpy
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["class_stats_report.py", "--year", "2008"],
+    ["equilibrium_ks.py", "--n-paths", "2000", "--n-steps", "200", "--dt", "2e-3"],
+    ["equilibrium_ks.py", "--n-paths", "2000", "--n-steps", "200", "--dt", "2e-3", "--float64"],
+    ["synthetic_pipeline.py", "--n", "20000", "--out-dir", "{tmp_path}"],
+], ids=["class_stats_report", "equilibrium_ks-float32", "equilibrium_ks-float64", "synthetic_pipeline"])
+def test_script_runs_end_to_end(argv, tmp_path, monkeypatch, capsys):
+    path = str(SCRIPTS / argv[0])
+    monkeypatch.setattr(sys, "argv", [path] + [a.format(tmp_path=tmp_path) for a in argv[1:]])
+    runpy.run_path(path, run_name="__main__")
+    assert capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- bench_pairs
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+
+
+def test_summary_and_seed_range(bench_pairs):
+    summary, seed_range = bench_pairs["summary"], bench_pairs["seed_range"]
+    # statistics.quantiles' exclusive method: q1 and q3 at ranks 1.5 and 4.5 of 5
+    assert summary([3.0, 1.0, 2.0, 5.0, 4.0]) == {"median": 3.0, "q1": 1.5, "q3": 4.5,
+                                                  "runs": [3.0, 1.0, 2.0, 5.0, 4.0]}
+    assert summary([0.12344, 0.12346, 1.0])["runs"] == [0.1234, 0.1235, 1.0]
+    assert seed_range("2901-2910") == list(range(2901, 2911))
+    assert seed_range("7") == [7]
+
+
+def _run(values, correct=True, failed=0):
+    return {"correct": correct, "failed": failed, "attempted": 10,
+            "metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_compare_counts_pair_wins_and_no_ties(bench_pairs):
+    metrics = [{"name": "round_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    results = {
+        "parent": [_run({"round_s": 1.0, "rate": 5.0}) for _ in range(3)],
+        # pair 1 better in both, pair 2 a tie in both, pair 3 worse in both
+        "change": [_run({"round_s": 0.5, "rate": 6.0}), _run({"round_s": 1.0, "rate": 5.0}),
+                   _run({"round_s": 2.0, "rate": 4.0}, correct=False, failed=3)],
+    }
+    entry = bench_pairs["compare"](results, metrics, [11, 12, 13])
+    assert entry["seeds"] == "11-13" and entry["pairs"] == 3
+    assert entry["all_correct"] is False
+    assert entry["failed_ops"] == {"parent": 0, "change": 3}
+    assert entry["attempted_ops"] == {"parent": 30, "change": 30}
+    assert entry["round_s"]["after_lower_in_pairs"] == 1
+    assert entry["rate"]["after_higher_in_pairs"] == 1
+    assert entry["round_s"]["change_pct"] == 0.0
+    assert entry["round_s"]["after"]["runs"] == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("better, wins, after_median, holds", [
+    ("lower", 9, 0.625, True),
+    ("lower", 8, 0.625, False),  # 8 of 10 pairs
+    ("lower", 10, 0.75, False),  # medians 0.25 apart: not more than the spread
+    ("higher", 9, 1.375, True),
+    ("higher", 8, 1.375, False),
+    ("higher", 10, 1.25, False),
+    ("higher", 10, 0.625, False),  # lower is worse for this metric
+])
+def test_claim_holds_at_nine_of_ten_pairs_and_medians_past_the_spread(bench_pairs, better, wins,
+                                                                       after_median, holds):
+    # the parent's median 1.0 and quartile spread 0.25 (binary fractions: no rounding)
+    entry = {"pairs": 10, "m": {"before": {"median": 1.0, "q1": 0.875, "q3": 1.125},
+                                "after": {"median": after_median},
+                                f"after_{better}_in_pairs": wins}}
+    claim = bench_pairs["claim_holds"](entry, {"name": "m", "better": better})
+    gain = 1.0 - after_median if better == "lower" else after_median - 1.0
+    assert claim == {"pairs_better": wins, "pairs": 10, "median_gain": gain,
+                     "parent_quartile_spread": 0.25, "holds": holds}
