@@ -26,8 +26,9 @@ from segments 2 and 3; T1 = T is imposed throughout.  These are the winning
 index segments of the search, read from its own prefix tables, so incomes
 tied at a break stay in the segment the search scored them in.  The tables
 keep their prefix sums only at the candidate boundaries (and at 0 and n),
-each built by one cumsum in place, so the search holds a few columns of n
-doubles, not the ten full-length sums a table per index would take.
+each a running sum of the pairwise sums between boundaries, so the search
+holds a few columns of n doubles, not the ten full-length sums a table per
+index would take.
 
 Step 3 refines T and m0 jointly by minimizing the log-CCDF misfit of the full
 model over all points, with T in [T, 1.5 T] and m0 starting at
@@ -165,12 +166,16 @@ class FitReport(_Record):
 class _PrefixOLS:
     """O(1) OLS over the index range between any two of a fixed sample's cuts.
 
-    The five prefix sums are kept only at the ascending cut indices, so a
-    table over n points holds O(len(cuts)) numbers, and a segment is named by
-    two cut positions a < b: it is [cuts[a], cuts[b]).  Each difference of
-    prefix sums loses digits in proportion to how far the table's centre lies
-    from the segment's own values, so the data are centred at their medians.
-    A mean would not do: with alpha1 < 1 the tail drags the mean of raw
+    The five prefix sums are kept only at the cuts, strictly ascending
+    indices, so a table over n points holds O(len(cuts)) numbers, and a
+    segment is named by two cut positions a < b: it is [cuts[a], cuts[b]).
+    Each sum is a running sum of the pairwise sums between consecutive cuts,
+    which err like log(n) roundings where a running sum over all n points
+    errs like n of them (Higham 1993).  Each difference of prefix sums loses
+    digits in proportion to how far the table's centre lies from the
+    segment's own values, so the data are centred at their medians, which
+    for the monotone x and y every caller passes are the middle elements.  A
+    mean would not do: with alpha1 < 1 the tail drags the mean of raw
     incomes to 1e10 and beyond, where the exponential segment's SSR loses
     every digit (Chan, Golub & LeVeque 1983).  The tables measure x in
     2^x_exp, a power of two near its largest magnitude, so that the squares
@@ -180,9 +185,8 @@ class _PrefixOLS:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, cuts: np.ndarray):
         self.x, self.y, self.cuts = x, y, cuts
-        self.x_shift = float(np.median(x))
-        self.y_shift = float(np.median(y))
-        self.x_exp = int(np.frexp(max(-x.min(), x.max()))[1])
+        self.x_shift, self.y_shift = _middle(x), _middle(y)
+        self.x_exp = int(np.frexp(max(abs(x[0]), abs(x[-1])))[1])  # x monotone: its ends bound it
         cx = x - self.x_shift
         np.ldexp(cx, -self.x_exp, out=cx)
         cy = y - self.y_shift
@@ -193,9 +197,12 @@ class _PrefixOLS:
         self.sy = self._at_cuts(cy)
 
     def _at_cuts(self, v: np.ndarray) -> np.ndarray:
-        """Sums of v over [0, c) at each cut c, by one cumsum in place; consumes v."""
-        np.cumsum(v, out=v)
-        return np.where(self.cuts > 0, v[self.cuts - 1], 0.0)
+        """Sums of v over [0, c) at each cut c: a running sum of pairwise sums between the cuts."""
+        c = self.cuts
+        k = int(c[0] == 0)  # a leading cut at 0 sums nothing
+        out = np.zeros(c.size)
+        np.cumsum(np.add.reduceat(v[: c[-1]], np.append(0, c[k:-1])), out=out[k:])
+        return out
 
     def moments(self, a, b):
         """Segment moments (n, var_x, cov, var_y) between cut positions a and b."""
@@ -233,6 +240,12 @@ class _PrefixOLS:
         """Standard error of the slope between cut positions a and b (see `_increment_stderr`)."""
         i, j = self.cuts[a], self.cuts[b]
         return _increment_stderr(self.x[i:j], self.y[i:j], slope)
+
+
+def _middle(v: np.ndarray) -> float:
+    """The median of a monotone v, as np.median computes it: its middle element, or the mean of the two."""
+    h = v.size // 2
+    return float(v[h]) if v.size % 2 else float((v[h - 1] + v[h]) / 2.0)
 
 
 def _increment_stderr(x: np.ndarray, y: np.ndarray, slope: float) -> float:
@@ -278,6 +291,22 @@ def _candidate_indices(n: int, min_segment: int) -> np.ndarray:
     return idx[(idx >= lo) & (idx <= hi)]
 
 
+def _segment_scores(lin: _PrefixOLS, loglog: _PrefixOLS, idx: np.ndarray) -> np.ndarray:
+    """The three segments' summed SSR for breaks at each pair of the k candidates idx, shape (k, k).
+
+    Entry (r, c) breaks at idx[r] and idx[c], cut positions r + 1 and c + 1
+    of both tables; only the pairs at least MIN_SEGMENT points apart, all
+    of them with r < c, are scored, in row-major order, and the rest are inf.
+    """
+    k = idx.size
+    pos = np.arange(1, k + 1)
+    ssr1, ssr3 = lin.ssr(0, pos), loglog.ssr(pos, k + 1)
+    rows, cols = np.nonzero((idx[None, :] - idx[:, None]) >= MIN_SEGMENT)
+    total = np.full((k, k), np.inf)
+    total[rows, cols] = ssr1[rows] + loglog.ssr(rows + 1, cols + 1) + ssr3[cols]
+    return total
+
+
 def _search_segments(ccdf: EmpiricalCCDF):
     """Grid search over boundary index pairs.
 
@@ -291,7 +320,7 @@ def _search_segments(ccdf: EmpiricalCCDF):
     n = x.size
     if n < 30:
         raise EstimationError(f"need at least 30 points, got {n}")
-    span = x.max() / x.min()
+    span = x[-1] / x[0]  # x ascends
     if span < 1e3:
         raise EstimationError(
             f"need >= 3 decades of income span, got {math.log10(span):.2f}"
@@ -303,15 +332,7 @@ def _search_segments(ccdf: EmpiricalCCDF):
     cuts = np.concatenate([[0], idx, [n]])  # candidate idx[c] is cut position c + 1
     lin = _PrefixOLS(x, lnp, cuts)
     loglog = _PrefixOLS(lnx, lnp, cuts)
-
-    pos = np.arange(1, k + 1)
-    ii, jj = pos[:, None], pos[None, :]
-    valid = (idx[None, :] - idx[:, None]) >= MIN_SEGMENT
-    ssr1 = lin.ssr(0, ii)
-    ssr3 = loglog.ssr(jj, k + 1)
-    ssr2 = np.where(valid, loglog.ssr(np.minimum(ii, jj), np.maximum(ii, jj)), np.inf)
-    total = np.where(valid, ssr1 + ssr2 + ssr3, np.inf)
-
+    total = _segment_scores(lin, loglog, idx)
     flat = int(np.argmin(total))  # first minimum: smallest m0, then smallest m1
     a, b = flat // k + 1, flat % k + 1
     i, j = int(cuts[a]), int(cuts[b])

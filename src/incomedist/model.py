@@ -525,7 +525,10 @@ def ccdf_eval_many(params: ModelParams, ms) -> np.ndarray:
     (a KS statistic on a large sample) is interpolated log-log on the
     2000-node ccdf_table up to its largest income, at an error that grows
     with log(max(ms) / m_init): 3.3e-5 to 6.8e-5 relative on the presets
-    (2,001 grid to 1e6 sampled incomes), up to 1.3e-4 on random laws.
+    (2,001 grid to 1e6 sampled incomes).  The 2000 log nodes are fixed, so
+    a heavy tail is worse: the worst measured is 1.19e-3, on 2e4 draws of
+    T = 65530, T1 = 58420, alpha = 2.269, alpha1 = 0.05234, m0 = 1.4e5,
+    m1 = 1.945e6, which reach 3.7e63 and put the nodes 0.076 apart in ln m.
     """
     arr = _incomes(params, ms, "ms")
     if arr.size == 0:
@@ -556,19 +559,23 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
     log_tails returns (v, J).  The sum's rounding floor is ~1e-16
     sum(log_p^2).  log_tails returns None (the sum inf) for a tail that
     underflows on the grid, a zero or infinite integral, or a law whose
-    domain ends below the grid's top or m1.
+    domain ends below the grid's top or m1.  ms must be non-increasing, as
+    an EmpiricalCCDF keeps its incomes, and at least m_init (ValueError).
     """
     arr = np.asarray(ms, dtype=float)
-    if np.any(arr < m_init):
+    if np.any(arr[1:] > arr[:-1]):
+        raise ValueError("ms must be non-increasing (richest first)")
+    if arr[-1] < m_init:
         raise ValueError("all incomes must be >= m_init")
-    m_hi = min(float(arr.max()) * (1.0 + 1e-12), _HUGE)  # as in ccdf_eval_many
+    m_hi = min(float(arr[0]) * (1.0 + 1e-12), _HUGE)  # as in ccdf_eval_many
     nodes = _table_grid(m_init, m1, m_hi, _MISFIT_GRID)
     # in place: at most four arrays of len(ms) are live at once, log_p among them
     t, grid = np.log(arr), np.log(nodes)
     n = grid.size
-    j = np.searchsorted(grid, t, side="right")
-    j -= 1
-    np.minimum(j, n - 2, out=j)  # the node at or below each income
+    # the node at or below each income, the last but one for those past it:
+    # t descends, so j is each node's count of incomes, from the top node down
+    counts = np.diff(np.searchsorted(t[::-1], grid[1:-1]), prepend=0, append=t.size)
+    j = np.repeat(np.arange(n - 1)[::-1], counts[::-1])
     t -= grid[j]
     t /= np.diff(grid)[j]  # the weight on node j + 1; 1 - t is node j's
 

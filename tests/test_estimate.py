@@ -1,9 +1,10 @@
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from incomedist import (
     DegenerateTailWarning,
@@ -17,12 +18,13 @@ from incomedist import (
     fit_rank,
     fit_temperature,
     normalize,
+    preset_params,
     rank_ccdf,
     refine_temperature,
     sample_incomes,
 )
 from incomedist import estimate, model
-from incomedist.estimate import MIN_SEGMENT, _PrefixOLS, _candidate_indices, _search_segments
+from incomedist.estimate import MIN_SEGMENT, _PrefixOLS, _candidate_indices, _search_segments, _segment_scores
 
 from conftest import direct_misfit, noiseless_ccdf
 
@@ -54,21 +56,96 @@ def test_prefix_ols_matches_polyfit():
         assert ssr == pytest.approx(float(resid @ resid), rel=1e-7, abs=1e-12)
 
 
+def _columns(ols, x, y):
+    """The five columns of ols's tables, named as its sums, with x in the table's units."""
+    cx, cy = np.ldexp(x - ols.x_shift, -ols.x_exp), y - ols.y_shift
+    return [("sx", cx), ("sy", cy), ("sxx", cx * cx), ("sxy", cx * cy), ("syy", cy * cy)]
+
+
+def _segments(cuts):
+    """The index ranges [s, e) between 0 and each positive cut, in order."""
+    bounds = np.append(0, cuts[cuts > 0])
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _sums_are_within(ols, x, y, rtol):
+    """Whether each of ols's sums lies within rtol * sum |v| over [0, c) of the exact sum, at every cut c.
+
+    The exact sums add the correctly rounded segment sums of math.fsum with
+    fsum again: their own error is at most 2^-53 sum |v|.
+    """
+    positive = ols.cuts > 0
+    for name, v in _columns(ols, x, y):
+        segments = [math.fsum(v[s:e]) for s, e in _segments(ols.cuts)]
+        exact = np.array([math.fsum(segments[: i + 1]) for i in range(len(segments))])
+        scale = np.cumsum(np.abs(v))[ols.cuts[positive] - 1]
+        if not np.all(np.abs(getattr(ols, name)[positive] - exact) <= rtol * scale):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("cuts", [[0, 1000], [0, 5, 17, 400, 995, 1000], [3, 4, 999]])
 def test_prefix_ols_sums_at_the_cuts_equal_the_full_tables(cuts):
-    # the sums kept at the cuts are the full-length prefix tables read there,
-    # bit for bit: the same cumsum, consumed in place, with x in the table's units
+    # the sums kept at the cuts are running sums of each segment's sum, bit
+    # for bit: numpy's reduceat adds a segment's first element to the pairwise
+    # sum of the rest, and a cut at 0 sums nothing
     rng = np.random.default_rng(7)
     x = np.sort(rng.lognormal(size=1000))
     y = -x + rng.normal(scale=0.1, size=1000)
     cuts = np.array(cuts)
     ols = _PrefixOLS(x, y, cuts)
-    cx, cy = np.ldexp(x - ols.x_shift, -ols.x_exp), y - ols.y_shift
-    for name, v in [("sx", cx), ("sy", cy), ("sxx", cx * cx), ("sxy", cx * cy),
-                    ("syy", cy * cy)]:
-        full = np.concatenate([[0], np.cumsum(v)])
-        assert np.array_equal(getattr(ols, name), full[cuts]), name
+    for name, v in _columns(ols, x, y):
+        segments = [v[s] + v[s + 1:e].sum() for s, e in _segments(cuts)]
+        reference = np.concatenate([np.zeros(int(cuts[0] == 0)), np.cumsum(segments)])
+        assert np.array_equal(getattr(ols, name), reference), name
     assert ols.sx.size == cuts.size
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_search_tables_are_accurate_at_every_cut(year):
+    # the search's two tables on a preset's 1e5 draws: 9.1e-16 (2008) and
+    # 8.6e-16 (2006) of sum |v| off the exact sums at worst; one running sum
+    # over all n points was 1.8e-14 and 2.6e-14 off
+    ccdf = rank_ccdf(sample_incomes(preset_params(year), 100_000, seed=1000))
+    x, lnp = ccdf.incomes[::-1], np.log(ccdf.p[::-1])
+    cuts = np.concatenate([[0], _candidate_indices(ccdf.n, MIN_SEGMENT), [ccdf.n]])
+    for xs in (x, np.log(x)):
+        assert _sums_are_within(_PrefixOLS(xs, lnp, cuts), xs, lnp, 4e-15)
+
+
+@settings(max_examples=30)
+@given(st.integers(30, 3000), st.floats(0.1, 3.0), st.sampled_from([-600, 0, 600]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_prefix_ols_on_monotone_data(n, alpha, scale, log_x, seed):
+    # Pareto incomes, heavy-tailed below alpha = 1, at 2^-600, 1 and 2^600,
+    # regressed as the search does: the centres are np.median's, bit for bit,
+    # and every sum at every cut is within 4e-15 sum |v| of the exact sum
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(np.sort(rng.pareto(alpha, n)) + 1.0, scale)
+    x = np.log(x) if log_x else x
+    y = np.log(np.arange(n, 0, -1) / (n + 1.0))
+    cuts = np.unique(np.append(rng.integers(0, n, 20), n))
+    ols = _PrefixOLS(x, y, cuts)
+    assert (ols.x_shift, ols.y_shift) == (np.median(x), np.median(y))
+    assert ols.x_exp == np.frexp(max(-x.min(), x.max()))[1]
+    assert _sums_are_within(ols, x, y, 4e-15)
+
+
+@pytest.mark.parametrize("year", ["2008", "2006"])
+def test_segment_scores_equal_the_dense_form(year):
+    # only the admissible pairs are scored, but the totals are the dense k x k
+    # form's bit for bit: every pair through symmetric gathers, masked to inf
+    ccdf = rank_ccdf(sample_incomes(preset_params(year), 100_000, seed=1000))
+    x, lnp = ccdf.incomes[::-1], np.log(ccdf.p[::-1])
+    idx = _candidate_indices(ccdf.n, MIN_SEGMENT)
+    k, cuts = idx.size, np.concatenate([[0], idx, [ccdf.n]])
+    lin, loglog = _PrefixOLS(x, lnp, cuts), _PrefixOLS(np.log(x), lnp, cuts)
+    pos = np.arange(1, k + 1)
+    ii, jj = pos[:, None], pos[None, :]
+    valid = (idx[None, :] - idx[:, None]) >= MIN_SEGMENT
+    ssr2 = np.where(valid, loglog.ssr(np.minimum(ii, jj), np.maximum(ii, jj)), np.inf)
+    dense = np.where(valid, lin.ssr(0, ii) + ssr2 + loglog.ssr(jj, k + 1), np.inf)
+    assert np.array_equal(_segment_scores(lin, loglog, idx), dense)
 
 
 def test_fit_full_traced_peak_is_a_few_columns(params08):

@@ -405,7 +405,7 @@ def test_m1_past_the_domain_top_is_value_error():
 
 def test_log_ccdf_misfit_is_inf_past_the_domain_top():
     base = dict(alpha=1.5, alpha1=0.5, m1=1e-105, m_init=1e-120)
-    misfit = _summed(np.array([1e-120, 1e-110, 1e200]), np.log([1.0, 0.5, 1e-100]), 1e-120, 1e-105)
+    misfit = _summed(np.array([1e200, 1e-110, 1e-120]), np.log([1e-100, 0.5, 1.0]), 1e-120, 1e-105)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert misfit(ModelParams(T=1e-110, T1=1e-110, m0=1e-110, **base)) == math.inf  # top ~4.5e197
@@ -1022,10 +1022,22 @@ def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
     rng = np.random.default_rng(7)
     ms = np.concatenate(([params08.m_init, params08.m1], sample_incomes(params08, 2000, seed=7)))
     log_p = np.log(ccdf_eval_many(params08, ms)) + 0.05 * rng.standard_normal(ms.size)
-    fast, ref = _misfit_pair(params08, ms, log_p)
+    richest_first = np.argsort(ms, kind="stable")[::-1]
+    fast, ref = _misfit_pair(params08, ms[richest_first], log_p[richest_first])
     for params in (params08, _in_box(params08, 1.3, 0.7)):
         assert fast(params) == pytest.approx(ref(params), rel=1e-9, abs=1e-10)
     assert fast(params08) > 1.0  # the noise is seen, not only the rounding floor
+
+
+@pytest.mark.parametrize("order", ["increasing", "shuffled"])
+def test_log_ccdf_misfit_needs_the_incomes_richest_first(params08, order):
+    # the nodes' counts of incomes index the sorted incomes: any other order
+    # is refused, where the counts would put incomes on the wrong nodes
+    ms = np.sort(sample_incomes(params08, 1000, seed=3))[::-1]
+    _log_ccdf_misfit(ms, np.zeros(ms.size), params08.m_init, params08.m1)
+    ms = ms[::-1] if order == "increasing" else np.random.default_rng(3).permutation(ms)
+    with pytest.raises(ValueError, match="non-increasing"):
+        _log_ccdf_misfit(ms, np.zeros(ms.size), params08.m_init, params08.m1)
 
 
 def _difference_jacobian(log_ccdf, params, h=1e-5):
@@ -1050,7 +1062,7 @@ def _difference_jacobian(log_ccdf, params, h=1e-5):
 
 def _jacobian_error(law, ms):
     """max |J - differences| of the misfit pass's J at law, and max |J|."""
-    log_tails, _, _ = _log_ccdf_misfit(ms, np.zeros(ms.size), law.m_init, law.m1)
+    log_tails, _, _ = _log_ccdf_misfit(np.sort(ms)[::-1], np.zeros(ms.size), law.m_init, law.m1)
     v, J = log_tails(law)
     assert J.shape == (v.size, 2) and not J[0].any()  # v[0] = 0 at every law
     reference = _difference_jacobian(lambda params: log_tails(params)[0], law)
@@ -1088,8 +1100,8 @@ def test_log_ccdf_misfit_jacobian_matches_differences_across_the_box(year, tied,
 
 def test_log_ccdf_misfit_is_inf_where_the_tail_underflows(params08):
     light = _with_alpha1(params08, 3.0)  # (1e250 / m1)^-3 is far below the float range
-    ms = np.array([params08.m_init, params08.m0, 1e250])
-    fast, _ = _misfit_pair(light, ms, np.log([1.0, 0.5, 1e-300]))
+    ms = np.array([1e250, params08.m0, params08.m_init])
+    fast, _ = _misfit_pair(light, ms, np.log([1e-300, 0.5, 1.0]))
     _, grid_pi = ccdf_table(light, 1e250 * (1.0 + 1e-12), 800)
     assert grid_pi[-1] == 0.0
     assert fast(light) == math.inf
