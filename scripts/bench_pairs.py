@@ -8,11 +8,14 @@
 For each seed of each --run, runs `python3 perfbench/run.py --workload W
 --seed S --seconds N --trace 0` once in each checkout (its working
 directory), the parent first on even pairs and the change first on odd ones,
-and reads the JSON object on the last line of each run.  It writes
+and reads the JSON object on the last line of each run.  A run that exits
+non-zero or whose last line is no such object is kept as failed, with its
+exit code and the tail of its stderr, and the comparison goes on.  It writes
 BENCH_<pr>.json (or --out) in the change checkout: for each workload and
 end-to-end metric of the change's BENCHMARK.json, both sides' runs, median
 and quartiles (statistics.quantiles, exclusive method), the change in
-percent and the number of pairs in which the change did better.  A --claim
+percent and the number of pairs in which the change did better (a failed
+run counts in no side's statistics, and its pair as no win).  A --claim
 is checked as the benchmark states a gain: better in at least nine of ten
 pairs, and the medians further apart than the parent's quartile spread.
 The file is written after each workload, so an interrupted comparison
@@ -31,17 +34,35 @@ import subprocess
 import sys
 
 
+STDERR_TAIL = 2000  # the characters of a failed run's stderr kept in the report
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The last-line JSON of one benchmark run in checkout."""
+    """The last-line JSON of one benchmark run in checkout, or {"error": ...} for a failed run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    return parse_run(proc.returncode, proc.stdout, proc.stderr)
+
+
+def parse_run(code: int, stdout: str, stderr: str) -> dict:
+    """A run's result from its exit code and output: its last line's JSON object, which has metrics."""
+    if code == 0:
+        lines = stdout.strip().splitlines()
+        try:
+            out = json.loads(lines[-1]) if lines else None
+        except json.JSONDecodeError:
+            out = None
+        if isinstance(out, dict) and isinstance(out.get("metrics"), dict):
+            return out
+    return {"error": {"exit_code": code, "stderr_tail": stderr[-STDERR_TAIL:]}}
 
 
 def summary(runs: list) -> dict:
-    q1, _, q3 = statistics.quantiles(runs, n=4)
-    return {"median": round(statistics.median(runs), 4), "q1": round(q1, 4), "q3": round(q3, 4),
+    """Median and quartiles of the runs; None for each statistic the runs are too few for."""
+    q1, _, q3 = statistics.quantiles(runs, n=4) if len(runs) >= 2 else (None, None, None)
+    return {"median": round(statistics.median(runs), 4) if runs else None,
+            "q1": None if q1 is None else round(q1, 4), "q3": None if q3 is None else round(q3, 4),
             "runs": [round(r, 4) for r in runs]}
 
 
@@ -51,21 +72,31 @@ def seed_range(text: str) -> list:
 
 
 def compare(results: dict, metrics: list, seeds: list) -> dict:
-    """One workload's entry from its paired results {"parent": [...], "change": [...]}."""
+    """One workload's entry from its paired results {"parent": [...], "change": [...]}, failed runs among them."""
+    done = {side: [r for r in rs if "error" not in r] for side, rs in results.items()}
     entry = {
         "seeds": f"{seeds[0]}-{seeds[-1]}", "pairs": len(seeds),
-        "all_correct": all(r["correct"] for side in results.values() for r in side),
-        "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in results.items()},
-        "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in results.items()},
+        "all_correct": all("error" not in r and r["correct"] for side in results.values() for r in side),
+        "failed_runs": {side: [dict(seed=seed, **r["error"]) for seed, r in zip(seeds, rs) if "error" in r]
+                        for side, rs in results.items()},
+        "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in done.items()},
+        "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in done.items()},
     }
     for metric in metrics:
         name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
-        before = [r["metrics"][name]["value"] for r in results["parent"]]
-        after = [r["metrics"][name]["value"] for r in results["change"]]
+
+        def value(r):
+            return None if "error" in r else r["metrics"][name]["value"]
+
+        pairs = [(value(a), value(b)) for a, b in zip(results["change"], results["parent"])]
+        before = [r["metrics"][name]["value"] for r in done["parent"]]
+        after = [r["metrics"][name]["value"] for r in done["change"]]
         entry[name] = {
             "before": summary(before), "after": summary(after),
-            "change_pct": round(100.0 * (statistics.median(after) / statistics.median(before) - 1.0), 1),
-            f"after_{metric['better']}_in_pairs": sum(sign * (a - b) < 0.0 for a, b in zip(after, before)),
+            "change_pct": (round(100.0 * (statistics.median(after) / statistics.median(before) - 1.0), 1)
+                           if before and after else None),
+            f"after_{metric['better']}_in_pairs": sum(a is not None and b is not None and sign * (a - b) < 0.0
+                                                      for a, b in pairs),
         }
     return entry
 
@@ -74,6 +105,9 @@ def claim_holds(entry: dict, metric: dict) -> dict:
     """Whether entry shows a gain in metric: better in >= 9 of 10 pairs, medians apart by more than the IQR."""
     m = entry[metric["name"]]
     wins = m[f"after_{metric['better']}_in_pairs"]
+    if m["before"]["q1"] is None or m["after"]["median"] is None:  # too few runs finished
+        return {"pairs_better": wins, "pairs": entry["pairs"], "median_gain": None,
+                "parent_quartile_spread": None, "holds": False}
     gain = m["before"]["median"] - m["after"]["median"]
     if metric["better"] != "lower":
         gain = -gain
@@ -123,10 +157,14 @@ def main() -> int:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                results[side].append(run_once(getattr(args, side), workload, seed, args.seconds))
-                value = results[side][-1]["metrics"]
-                print(f"{workload} seed {seed} {side}: "
-                      + ", ".join(f"{k} {v['value']:.4g}" for k, v in value.items()), flush=True)
+                run = run_once(getattr(args, side), workload, seed, args.seconds)
+                results[side].append(run)
+                if "error" in run:
+                    print(f"{workload} seed {seed} {side}: FAILED, exit code {run['error']['exit_code']}\n"
+                          + run["error"]["stderr_tail"], flush=True)
+                else:
+                    print(f"{workload} seed {seed} {side}: "
+                          + ", ".join(f"{k} {v['value']:.4g}" for k, v in run["metrics"].items()), flush=True)
         report["end_to_end"][workload] = compare(results, metrics, seeds)
         write(out_path, report)
     if args.claim:

@@ -423,6 +423,54 @@ def test_refine_is_no_worse_than_nelder_mead(params08, ccdf08_noiseless, data):
     assert misfit(refined) <= res.fun
 
 
+def _preset_draws():
+    """The 22 fits of the refinement's end-game tests: 1e5 draws of both presets, seeds 4242 and 1000-1009."""
+    for year in ("2008", "2006"):
+        params = preset_params(year)
+        for seed in (4242, *range(1000, 1010)):
+            yield params, rank_ccdf(sample_incomes(params, 100_000, seed=seed))
+
+
+def test_refine_is_not_moved_by_rounding_noise(monkeypatch):
+    # every tied pass's tails off by 4 eps relative: the fit may move only at
+    # rounding level.  A trial step whose decrease the misfit cannot resolve
+    # would be taken or refused by chance, and 5 of these fits moved by 1e-9
+    # to 2.7e-8 when such steps were tried
+    ripple, nodes = None, model._ccdf_nodes
+
+    def rippled(*args, **kwargs):
+        out = nodes(*args, **kwargs)
+        if kwargs.get("tied") is None or ripple is None:
+            return out
+        return (out[0] * (1.0 + ripple * np.cos(np.arange(out[0].size))), *out[1:])
+
+    monkeypatch.setattr(model, "_ccdf_nodes", rippled)
+    for params, ccdf in _preset_draws():
+        ripple = None
+        plain = fit_full(ccdf, params.m_init).params
+        ripple = 4.0 * np.finfo(float).eps
+        moved = fit_full(ccdf, params.m_init).params
+        assert moved.T == pytest.approx(plain.T, rel=1e-12, abs=0.0)
+        assert moved.m0 == pytest.approx(plain.m0, rel=1e-12, abs=0.0)
+
+
+def test_fit_makes_at_most_6_5_tied_passes_on_average(monkeypatch):
+    # the misfit's passes per fit over the 22 draws: 7.59 when the refinement
+    # also tried the steps its decrease test cannot resolve
+    passes, nodes = [], model._ccdf_nodes
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs.get("tied") is not None)
+        return nodes(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_ccdf_nodes", counted)
+    fits = 0
+    for params, ccdf in _preset_draws():
+        fit_full(ccdf, params.m_init)
+        fits += 1
+    assert fits == 22 and sum(passes) / fits <= 6.5
+
+
 def test_fit_full_report_structure(params08):
     samp = sample_incomes(params08, 30000, seed=77)
     report = fit_full(rank_ccdf(samp), 0.01)
@@ -584,6 +632,33 @@ def test_heavy_tail_segment_fits_match_two_pass_ols(heavy_tail_ccdf):
     assert report.params.alpha1 == pytest.approx(-_ols_slope(lnx[j:], lnp[j:]), rel=1e-9)
 
 
+def test_heavy_tail_at_alpha1_0_02_fits_on_its_bulk(params08):
+    # draws up to 1.5e212: the linear table ends at the last candidate break,
+    # so its scale is set by the incomes it is read on, and the bulk's
+    # squared incomes no longer underflow to a zero x-variance
+    params = normalize(replace(params08, alpha1=0.02))
+    ccdf = rank_ccdf(sample_incomes(params, 100_000, seed=3))
+    assert ccdf.incomes[0] > 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_full(ccdf, params.m_init)
+    assert report.m0_hat == pytest.approx(52734.2, rel=1e-5)
+    assert report.params.alpha == pytest.approx(1.5747, rel=1e-4)
+    assert report.params.alpha1 == pytest.approx(0.0211, rel=1e-2)
+
+
+def test_heavy_tail_at_alpha1_0_01_is_an_estimation_error(params08):
+    # draws up to 1.8e308: the span check takes a difference of logs, where
+    # the ratio of the extreme incomes overflowed; the sixth largest income
+    # still scales the bulk's squares to 0, the README's stated limit
+    params = normalize(replace(params08, alpha1=0.01))
+    ccdf = rank_ccdf(sample_incomes(params, 100_000, seed=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="zero x-variance"):
+            fit_full(ccdf, params.m_init)
+
+
 def test_segment_fit_keeps_ties_where_the_search_put_them(params08):
     # incomes rounded to 100: several equal m0_hat, some of them below the
     # search's break index; the fit must read the segment the search scored
@@ -614,4 +689,5 @@ def test_fit_full_builds_only_the_search_tables(monkeypatch, params08):
         monkeypatch.setattr(estimate, name, forbidden)
     ccdf = rank_ccdf(sample_incomes(params08, 20_000, seed=5))
     fit_full(ccdf, 0.01)
-    assert built == [ccdf.n, ccdf.n]
+    # the linear table ends at the last candidate break, n - MIN_SEGMENT
+    assert built == [ccdf.n - MIN_SEGMENT, ccdf.n]

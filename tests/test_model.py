@@ -891,6 +891,17 @@ def test_engine_error_estimate_is_rounding_level(params06, params08, which):
             assert err < 1e-13
 
 
+def test_engine_sine_is_within_4_ulp_of_sin():
+    # sin(w) as 2 t / (1 + t^2), t = tan(w / 2), against 40-digit mpmath on
+    # a log sweep of every tail width a piece or a node can have
+    mpmath = pytest.importorskip("mpmath")
+    w = np.geomspace(model._TINY, math.pi / 2.0, 4000)
+    got = model._sin(w)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.sin(mpmath.mpf(float(x)))) for x in w])
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
 @pytest.mark.parametrize("alpha1", [0.01, 0.05, 0.2])
 def test_engine_raises_no_floating_point_warnings(params08, alpha1, normal_pieces):
     with warnings.catch_warnings():

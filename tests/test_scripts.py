@@ -87,3 +87,52 @@ def test_claim_holds_at_nine_of_ten_pairs_and_medians_past_the_spread(bench_pair
     gain = 1.0 - after_median if better == "lower" else after_median - 1.0
     assert claim == {"pairs_better": wins, "pairs": 10, "median_gain": gain,
                      "parent_quartile_spread": 0.25, "holds": holds}
+
+
+@pytest.mark.parametrize("code, stdout, failed", [
+    (0, 'log line\n{"metrics": {"round_s": {"value": 1.0}}, "correct": true}\n', False),
+    (1, '{"metrics": {}}\n', True),  # the exit code decides, whatever was printed
+    (0, 'log line\n{"metrics": {"round_s"\n', True),  # cut off mid-object
+    (0, "", True),
+    (0, "[1, 2]\n", True),  # JSON, but no object with metrics
+    (0, '{"metrics": 3}\n', True),
+])
+def test_parse_run_keeps_a_failed_run_with_its_exit_code_and_stderr_tail(bench_pairs, code, stdout, failed):
+    stderr = "x" * 5000 + "Traceback: the end"
+    run = bench_pairs["parse_run"](code, stdout, stderr)
+    if failed:
+        assert run == {"error": {"exit_code": code, "stderr_tail": stderr[-bench_pairs["STDERR_TAIL"]:]}}
+        assert run["error"]["stderr_tail"].endswith("Traceback: the end")
+    else:
+        assert run["metrics"]["round_s"]["value"] == 1.0
+
+
+def test_run_once_records_a_run_that_exits_non_zero(bench_pairs, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit('no such workload')\n")
+    run = bench_pairs["run_once"](str(tmp_path), "w", 1, 0.1)
+    assert run == {"error": {"exit_code": 1, "stderr_tail": "no such workload\n"}}
+
+
+def test_compare_counts_a_failed_run_in_no_statistic_and_its_pair_as_no_win(bench_pairs):
+    metrics = [{"name": "round_s", "better": "lower"}]
+    failed = {"error": {"exit_code": 1, "stderr_tail": "boom"}}
+    results = {"parent": [_run({"round_s": 1.0}), _run({"round_s": 1.0}), _run({"round_s": 2.0})],
+               "change": [_run({"round_s": 0.5}), failed, _run({"round_s": 0.5})]}
+    entry = bench_pairs["compare"](results, metrics, [11, 12, 13])
+    assert entry["pairs"] == 3 and entry["all_correct"] is False
+    assert entry["failed_runs"] == {"parent": [], "change": [{"seed": 12, "exit_code": 1, "stderr_tail": "boom"}]}
+    assert entry["attempted_ops"] == {"parent": 30, "change": 20}
+    assert entry["round_s"]["after"]["runs"] == [0.5, 0.5]
+    assert entry["round_s"]["before"]["runs"] == [1.0, 1.0, 2.0]
+    assert entry["round_s"]["after_lower_in_pairs"] == 2
+    assert entry["round_s"]["change_pct"] == -50.0
+
+
+def test_claim_does_not_hold_when_too_few_runs_finished(bench_pairs):
+    failed = {"error": {"exit_code": 1, "stderr_tail": ""}}
+    results = {"parent": [_run({"m": 1.0}), failed], "change": [_run({"m": 0.5}), _run({"m": 0.5})]}
+    metric = {"name": "m", "better": "lower"}
+    entry = bench_pairs["compare"](results, [metric], [1, 2])
+    assert entry["m"]["before"] == {"median": 1.0, "q1": None, "q3": None, "runs": [1.0]}
+    assert bench_pairs["claim_holds"](entry, metric)["holds"] is False
