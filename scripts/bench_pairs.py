@@ -15,9 +15,11 @@ BENCH_<pr>.json (or --out) in the change checkout: for each workload and
 end-to-end metric of the change's BENCHMARK.json, both sides' runs, median
 and quartiles (statistics.quantiles, exclusive method), the change in
 percent and the number of pairs in which the change did better (a failed
-run counts in no side's statistics, and its pair as no win).  A --claim
-is checked as the benchmark states a gain: better in at least nine of ten
-pairs, and the medians further apart than the parent's quartile spread.
+run counts in no side's statistics, and its pair as no win), and a verdict
+at the metric's bound (see `verdict`); and each side's share of failed
+operations, and whether the change's rose.  A --claim is checked as the
+benchmark states a gain: better in at least nine of ten pairs, and the
+medians further apart than the parent's quartile spread.
 The file is written after each workload, so an interrupted comparison
 keeps the workloads it finished.  Uses the standard library only, and calls
 nothing of the package but perfbench/run.py.
@@ -71,6 +73,33 @@ def seed_range(text: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def verdict(before: list, after: list, metric: dict) -> str | None:
+    """The change's runs against the parent's in metric, judged at its bound, a fraction of the parent's median.
+
+    "worse": the change's median is worse than the parent's by more than
+    the bound.  "unresolved": otherwise, the parent's quartile spread is
+    wider than the bound and not every change run beats every parent run,
+    or too few runs finished for a spread.  "better": the change's median
+    is better by more than the parent's quartile spread (no claim: a gain
+    also needs claim_holds' pair wins).  "within": the rest.  None for a
+    metric with no bound.
+    """
+    if "bound" not in metric:
+        return None
+    if len(before) < 2 or not after:
+        return "unresolved"
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    median = statistics.median(before)
+    loss = sign * (statistics.median(after) - median)
+    q1, _, q3 = statistics.quantiles(before, n=4)
+    allowed = metric["bound"] * abs(median)
+    if loss > allowed:
+        return "worse"
+    if q3 - q1 > allowed and not all(sign * (a - b) < 0.0 for a in after for b in before):
+        return "unresolved"
+    return "better" if -loss > q3 - q1 else "within"
+
+
 def compare(results: dict, metrics: list, seeds: list) -> dict:
     """One workload's entry from its paired results {"parent": [...], "change": [...]}, failed runs among them."""
     done = {side: [r for r in rs if "error" not in r] for side, rs in results.items()}
@@ -82,6 +111,10 @@ def compare(results: dict, metrics: list, seeds: list) -> dict:
         "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in done.items()},
         "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in done.items()},
     }
+    share = {side: entry["failed_ops"][side] / entry["attempted_ops"][side] if entry["attempted_ops"][side] else None
+             for side in done}
+    entry["failed_share"] = share
+    entry["failed_share_rose"] = (None if None in share.values() else share["change"] > share["parent"])
     for metric in metrics:
         name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
 
@@ -97,6 +130,7 @@ def compare(results: dict, metrics: list, seeds: list) -> dict:
                            if before and after else None),
             f"after_{metric['better']}_in_pairs": sum(a is not None and b is not None and sign * (a - b) < 0.0
                                                       for a, b in pairs),
+            "verdict": verdict(before, after, metric),
         }
     return entry
 
@@ -165,7 +199,12 @@ def main() -> int:
                 else:
                     print(f"{workload} seed {seed} {side}: "
                           + ", ".join(f"{k} {v['value']:.4g}" for k, v in run["metrics"].items()), flush=True)
-        report["end_to_end"][workload] = compare(results, metrics, seeds)
+        entry = report["end_to_end"][workload] = compare(results, metrics, seeds)
+        for metric in metrics:
+            m = entry[metric["name"]]
+            print(f"{workload} {metric['name']}: {m['verdict']} ({m['change_pct']}%, bound "
+                  f"{metric.get('bound')}; parent quartiles {m['before']['q1']}-{m['before']['q3']})", flush=True)
+        print(f"{workload} failed share: {entry['failed_share']}, rose: {entry['failed_share_rose']}", flush=True)
         write(out_path, report)
     if args.claim:
         workload, _, name = args.claim.partition(":")

@@ -87,7 +87,7 @@ def _read_table(path, header: str) -> np.ndarray:
     underscores, non-ASCII digits).
     """
     ncol = header.count(",") + 1
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
         skip = int(_is_header(fh.readline(), header))
     # numpy parses in C only from a path given as str; an absolute one is
     # never taken for a URL
@@ -98,7 +98,7 @@ def _read_table(path, header: str) -> np.ndarray:
             warnings.simplefilter("ignore", UserWarning)
             try:
                 table = np.loadtxt(name, dtype=float, delimiter="," if ncol > 1 else None,
-                                   comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+                                   comments=None, skiprows=skip, ndmin=2, encoding="utf-8-sig")
             except ValueError:
                 table = None
         if table is not None and table.shape[1] == ncol and _positive_finite(table):
@@ -115,7 +115,7 @@ def _read_lines(path, header: str) -> np.ndarray:
     """
     names = header.split(",")
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or (lineno == 1 and _is_header(text, header)):
@@ -362,7 +362,7 @@ def load_wealth_pairs(path) -> np.ndarray:
     """
     expected = ["id", "wealth_prev", "wealth_curr"]
     values: list[float] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None and [h.strip().lower() for h in header] != expected:

@@ -285,17 +285,15 @@ def _ascending(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _candidate_indices(n: int, min_segment: int) -> np.ndarray:
+    """The candidate breaks, ascending, in [min_segment, n - min_segment] for every n >= 30."""
     lo = min_segment
     hi = n - min_segment
-    if hi <= lo:
-        raise EstimationError(f"too few points ({n}) for three segments")
     # every 0.5% of the sample
     base = np.arange(lo, hi + 1, max(1, int(round(0.005 * n))))
     # log-spaced survival ranks so the grid can resolve a sub-percent tail class
     tail_counts = np.unique(np.geomspace(min_segment, max(min_segment + 1, 0.02 * n), 48).astype(int))
     tail = n - tail_counts
-    idx = np.unique(np.concatenate([base, tail, [lo, hi]]))
-    return idx[(idx >= lo) & (idx <= hi)]
+    return np.unique(np.concatenate([base, tail, [lo, hi]]))
 
 
 def _segment_scores(lin: _PrefixOLS, loglog: _PrefixOLS, idx: np.ndarray) -> np.ndarray:
@@ -367,8 +365,8 @@ def _search_segments(ccdf: EmpiricalCCDF):
         "slopes": (s1, s2, s3),
         "ssr_per_segment": (r1, r2, r3),
         "alpha_se": loglog.stderr(a, b, s2), "alpha1_se": loglog.stderr(b, k + 1, s3),
-        "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i])) if m0_set.size else 0.0,
-        "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j])) if m1_set.size else 0.0,
+        "m0_rel_unc": float((m0_set.max() - m0_set.min()) / (2.0 * x[i])),
+        "m1_rel_unc": float((m1_set.max() - m1_set.min()) / (2.0 * x[j])),
         "degenerate_tail": bool(degenerate),
     }
 
@@ -467,18 +465,19 @@ def refine_temperature(ccdf: EmpiricalCCDF, params: ModelParams) -> ModelParams:
     d.J'(h - Gv) is below _RESOLVED eps |v|.|2 (Gv - h)|, where the test
     that f fell is rounding noise and would pass or fail by chance.  No
     trial point's constants are derived: v divides by the tail mass at
-    m_init.  T1 moves with T whenever the input had T1 = T.  Returns the
-    normalized optimum, or the input unchanged when no finite score
-    improves on it.
+    m_init.  params must have T1 = T, as fit_full builds it (ValueError),
+    and T1 moves with T.  Returns the normalized optimum, or the input
+    unchanged when no finite score improves on it.
     """
-    tied = params.T1 == params.T
+    if params.T1 != params.T:
+        raise ValueError(f"T1 must equal T, got T1 = {params.T1!r} and T = {params.T!r}")
     log_tails, gram, h = _log_ccdf_misfit(ccdf.incomes, np.log(ccdf.p), params.m_init, params.m1)
     lo = np.array([0.0, math.log(params.m_init / params.m0)])
     hi = np.array([math.log(1.5), math.log(params.m1 / params.m0)])
 
     def at(u) -> ModelParams | None:  # None where m0 leaves (m_init, m1]
         T, m0 = params.T * math.exp(u[0]), min(params.m0 * math.exp(u[1]), params.m1)
-        return replace(params, T=T, T1=(T if tied else params.T1), m0=m0) if params.m_init < m0 else None
+        return replace(params, T=T, T1=T, m0=m0) if params.m_init < m0 else None
 
     u, scored = np.zeros(2), log_tails(params)
     while scored is not None:

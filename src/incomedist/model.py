@@ -370,7 +370,7 @@ def _sin(w, out=None, scratch=None):
 
 
 def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bool = True,
-                tied: bool | None = None):
+                jacobian: bool = False):
     """Tail mass above each of the ascending incomes ms for branch constants c_lo, c_hi.
 
     Returns the masses and the summed |K21 - G10| estimate of their error,
@@ -390,16 +390,17 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     _NEAR0 / max(k, 1) is a series.  Every node lies in the law's domain
     (_incomes), so no piece lies below _TINY.
 
-    With tied given, a closed pass for c_hi / c_lo = continuity_ratio(params)
-    (the fit's misfit) also returns the derivatives of the masses in
-    (ln T, ln m0), shape (len(ms), 2), at fixed c_lo and with T1 moving with
-    T where tied, all from the same pieces.  d/d ln k' of exp(k' (w - pi/2))
-    is k' (w - pi/2) times it, so the pass integrates that column beside the
-    mass (the closing series has its own), and the upper branch adds the
-    continuity ratio's closed-form derivatives times its mass.  In ln m0 the
-    limits move too, dw/d ln m0 = sin w cos w; the branches meet
-    continuously at m1, so those terms telescope to the density at each node
-    times sin w cos w.
+    With jacobian=True, a closed pass for a law with T1 = T and c_hi / c_lo
+    = continuity_ratio(params) (the fit's misfit) also returns the masses'
+    derivatives in (ln T, ln m0), shape (len(ms), 2), at fixed c_lo, all
+    from the same pieces.  d/d ln k of exp(k (w - pi/2)), k = m0/T on both
+    branches, is k (w - pi/2) times it, so the pass integrates that column
+    beside the mass (the closing series has its own), with d ln k /
+    d(ln T, ln m0) = (-1, 1).  The continuity ratio (1 + x1^2)^((alpha1 -
+    alpha)/2), x1 = m1/m0, moves with m0 alone: the upper branch adds its
+    closed-form derivative times its mass.  In ln m0 the limits move too,
+    dw/d ln m0 = sin w cos w; the branches meet continuously at m1, so those
+    terms telescope to the density at each node times sin w cos w.
     """
     ms = np.asarray(ms, dtype=float)
     inside = ms[0] < params.m1 and (closed or params.m1 < ms[-1])
@@ -437,7 +438,7 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
     # overflow once k w exceeds ~709 even where the integrand itself is tiny.
     # In place, in one buffer of two rows: the first holds sin(w) and then
     # the integrand, the second the sine's scratch, then the exponent, and in
-    # a tied pass the moment (w - pi/2) f
+    # a Jacobian pass the moment (w - pi/2) f
     def integrand(w):
         f = np.empty((2, *w.shape))
         s, e = f
@@ -445,13 +446,13 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
         w -= _HALF_PI
         np.multiply(w, kw, out=e)
         s *= np.exp(e, out=e)
-        if tied is None:
+        if not jacobian:
             return s
         np.multiply(w, s, out=e)
         return f
 
     mass, err = _kronrod(integrand, lo, hi)
-    if tied is not None:
+    if jacobian:
         mass, moment, err = mass[0], mass[1], err[0]
     c = np.where(upper, c_hi, c_lo)
     mass = c * np.bincount(owner, mass, nodes.size)
@@ -463,17 +464,13 @@ def _ccdf_nodes(params: ModelParams, ms, c_lo: float, c_hi: float, *, closed: bo
         mass[-1] += series
     tail = mass[::-1].cumsum()[::-1]
     at = np.searchsorted(nodes, ms)
-    if tied is None:
+    if not jacobian:
         return params.m0 * tail[at], params.m0 * (c @ err)
     moment = c * np.bincount(owner, moment, nodes.size)
     moment[-1] += lead * eps * (1.0 / (a1 + 1.0) + k1 * eps / (a1 + 2.0)) - _HALF_PI * series
-    # the continuity ratio's log m0 (1/T1 - 1/T) atan(x1) + (alpha1 - alpha)/2 log(1 + x1^2), x1 = m1/m0
-    k_lo, u1 = params.m0 / params.T, math.atan(params.m1 / params.m0)
-    w1 = math.atan2(params.m0, params.m1)
-    d_ratio = (0.0 if tied else k_lo * u1,
-               (k1 - k_lo) * (u1 - math.sin(w1) * math.cos(w1)) - (a1 - params.alpha) * math.cos(w1) ** 2)
-    d_k = np.where(upper[:, None], (-float(tied), 1.0), (-1.0, 1.0))  # d ln k' / d (ln T, ln m0)
-    d_mass = (k * moment)[:, None] * d_k + np.where(upper, mass, 0.0)[:, None] * d_ratio
+    # d ln ratio / d ln m0 = (alpha - alpha1) x1^2 / (1 + x1^2) = (alpha - alpha1) cos^2 w1
+    d_ratio = (0.0, (params.alpha - a1) * math.cos(math.atan2(params.m0, params.m1)) ** 2)
+    d_mass = (k * moment)[:, None] * (-1.0, 1.0) + np.where(upper, mass, 0.0)[:, None] * d_ratio
     d_tail = d_mass[::-1].cumsum(axis=0)[::-1]
     # the factor m0 and the moving limits
     d_tail[:, 1] += tail + c * np.exp(k * (w_hi - _HALF_PI)) * _sin(w_hi) ** alpha * np.cos(w_hi)
@@ -595,16 +592,14 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
     log_tails(params), v = log(tails) - log(tails[0]) from one _ccdf_nodes
     pass with c_lo = 1 and c_hi the continuity ratio, never derives the
     law's constants.  The same pass gives the exact J = dv / d(ln T, ln m0),
-    shape (n, 2), with T1 moving with T where they are equal, and
-    log_tails returns (v, J).  The sum's rounding floor is ~1e-16
-    sum(log_p^2).  log_tails returns None (the sum inf) for a tail that
-    underflows on the grid, a zero or infinite integral, or a law whose
-    domain ends below the grid's top or m1.  ms must be non-increasing, as
-    an EmpiricalCCDF keeps its incomes, and at least m_init (ValueError).
+    shape (n, 2), for laws with T1 = T, T1 moving with T, and log_tails
+    returns (v, J).  The sum's rounding floor is ~1e-16 sum(log_p^2).
+    log_tails returns None (the sum inf) for a tail that underflows on the
+    grid, a zero or infinite integral, or a law whose domain ends below the
+    grid's top or m1.  ms are an EmpiricalCCDF's incomes, richest first,
+    and must be at least m_init (ValueError).
     """
     arr = np.asarray(ms, dtype=float)
-    if np.any(arr[1:] > arr[:-1]):
-        raise ValueError("ms must be non-increasing (richest first)")
     if arr[-1] < m_init:
         raise ValueError("all incomes must be >= m_init")
     m_hi = min(float(arr[0]) * (1.0 + 1e-12), _HUGE)  # as in ccdf_eval_many
@@ -635,8 +630,7 @@ def _log_ccdf_misfit(ms, log_p, m_init: float, m1: float):
         if max(m_hi, m1) > _top(params):
             return None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tails, _, d_tails = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params),
-                                            tied=params.T1 == params.T)
+            tails, _, d_tails = _ccdf_nodes(params, nodes, 1.0, continuity_ratio(params), jacobian=True)
             v = np.log(tails)
             v -= v[0]
             J = d_tails / tails[:, None]

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -38,6 +39,23 @@ HEAVY_TOP = dict(T=1.0, T1=1.0, alpha=1.0, alpha1=0.002, m0=2.0, m1=2.0, m_init=
 # the closing series' 1/alpha1 ~ 4.5e307 times m0 overflows the raw integral to inf
 INTEGRAL_OVERFLOW = dict(T=1e9, T1=1e9, alpha=0.01, alpha1=2.2250738585072014e-308, m0=1e6, m1=1e6,
                          m_init=1.0)
+
+
+EnginePass = collections.namedtuple("EnginePass", "ms closed jacobian")
+
+
+@pytest.fixture
+def engine_passes(monkeypatch):
+    """Spy on the engine: record every model._ccdf_nodes pass as an EnginePass, forwarding every argument."""
+    passes, nodes = [], model._ccdf_nodes
+
+    def spy(params, ms, *args, **kwargs):
+        passes.append(EnginePass(np.asarray(ms, dtype=float).copy(), kwargs.get("closed", True),
+                                 kwargs.get("jacobian", False)))
+        return nodes(params, ms, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_ccdf_nodes", spy)
+    return passes
 
 
 @pytest.fixture

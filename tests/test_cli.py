@@ -93,6 +93,14 @@ def test_ccdf_three_rows_and_round_trip(tmp_path):
     assert np.array_equal(back.p, [0.25, 0.5, 0.75])
 
 
+def test_ccdf_reads_an_income_file_that_starts_with_a_byte_order_mark(tmp_path):
+    inp = tmp_path / "inc.csv"
+    inp.write_text("income\n20.0\n10.0\n30.0\n", encoding="utf-8-sig")
+    out = tmp_path / "out.csv"
+    assert main(["ccdf", str(inp), "--output", str(out), "--quiet"]) == 0
+    assert out.read_text(encoding="utf-8").splitlines() == ["income,ccdf", "30.0,0.25", "20.0,0.5", "10.0,0.75"]
+
+
 def test_ccdf_default_output_in_cwd(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     inp = tmp_path / "inc.csv"

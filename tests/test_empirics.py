@@ -297,6 +297,54 @@ _cells = st.one_of(st.floats().map(repr), st.floats(1e-320, 1e-300).map(repr),
                    st.floats(1e290, 1e308).map(repr), st.sampled_from(_ODD_CELLS))
 
 
+def _plain_and_bom(tmp_path, text):
+    """text written twice: as plain UTF-8, and after a byte-order mark, as Excel and PowerShell write it."""
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    return plain, bom
+
+
+# the last two rows hold 1_000, which numpy refuses: the line reader reads them
+@pytest.mark.parametrize("text, expect", [
+    ("income\n10.5\n\n20.25\n", [10.5, 20.25]),
+    ("10.5\n20.25\n", [10.5, 20.25]),
+    ("income\n1_000\n20.25\n", [1000.0, 20.25]),
+    ("1_000\n20.25\n", [1000.0, 20.25]),
+])
+def test_load_incomes_skips_a_byte_order_mark(tmp_path, text, expect):
+    plain, bom = _plain_and_bom(tmp_path, text)
+    assert load_incomes(bom).tolist() == load_incomes(plain).tolist() == expect
+
+
+@pytest.mark.parametrize("text", ["income,ccdf\n20.25,0.25\n10.5,0.75\n", "20.25,0.25\n10.5,0.75\n",
+                                  "income,ccdf\n2_0.25,0.25\n10.5,0.75\n"])
+def test_from_csv_skips_a_byte_order_mark(tmp_path, text):
+    plain, bom = _plain_and_bom(tmp_path, text)
+    got, want = EmpiricalCCDF.from_csv(bom), EmpiricalCCDF.from_csv(plain)
+    assert got.incomes.tolist() == want.incomes.tolist() == [20.25, 10.5]
+    assert got.p.tolist() == want.p.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("read, text", [(load_incomes, "nope\n10.5\n"),
+                                        (EmpiricalCCDF.from_csv, "nope,0.25\n10.5,0.75\n")])
+def test_a_byte_order_mark_moves_no_fault(tmp_path, read, text):
+    # the fault on line 1 is reported at the same cell, and names the cell without the mark
+    plain, bom = _plain_and_bom(tmp_path, text)
+    assert _outcome(read, bom) == _outcome(read, plain)
+    assert "\ufeff" not in _outcome(read, bom)[0][3]
+
+
+@pytest.mark.parametrize("text", ["id,wealth_prev,wealth_curr\nA,1.0,3.5\n", "A,1.0,3.5\n"])
+def test_load_wealth_pairs_skips_a_byte_order_mark(tmp_path, text):
+    # without its header a wealth file is a ParseError at line 1, mark or not
+    plain, bom = _plain_and_bom(tmp_path, text)
+    assert _outcome(load_wealth_pairs, bom) == _outcome(load_wealth_pairs, plain)
+    if text.startswith("id"):
+        assert load_wealth_pairs(bom).tolist() == [[1.0, 3.5]]
+
+
 def _outcome(read, path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -113,6 +113,17 @@ def test_search_tables_are_accurate_at_every_cut(year):
         assert _sums_are_within(_PrefixOLS(xs, lnp, cuts), xs, lnp, 4e-15)
 
 
+def test_candidate_breaks_lie_in_range_by_construction():
+    # the search takes n >= 30 and reads every candidate as a break with
+    # MIN_SEGMENT points on either side: every n from 30 to 4,999, and 400
+    # sizes log-spaced up to 2e7
+    sizes = np.concatenate([np.arange(30, 5000), np.geomspace(5000, 2e7, 400).astype(int)])
+    for n in sizes.tolist():
+        idx = _candidate_indices(n, MIN_SEGMENT)
+        assert np.all(np.diff(idx) > 0), n
+        assert idx[0] == MIN_SEGMENT and idx[-1] == n - MIN_SEGMENT, n
+
+
 @settings(max_examples=30)
 @given(st.integers(30, 3000), st.floats(0.1, 3.0), st.sampled_from([-600, 0, 600]), st.booleans(),
        st.integers(0, 2**32 - 1))
@@ -319,6 +330,12 @@ def test_refine_keeps_exact_data_fixed(params08, ccdf08_noiseless):
     assert refined.m0 == pytest.approx(params08.m0, rel=1e-3)
 
 
+def test_refine_takes_only_a_law_with_T1_equal_to_T(params08, ccdf08_noiseless):
+    # the fit builds T1 = T, and the refinement's derivative pass holds them equal
+    with pytest.raises(ValueError, match="T1"):
+        refine_temperature(ccdf08_noiseless, normalize(replace(params08, T1=1.3 * params08.T)))
+
+
 def test_refine_matches_the_direct_sum_objective(monkeypatch, params08):
     # criterion 6's draw: the tridiagonal pieces steer Gauss-Newton to the
     # refined (T, m0) that the pieces of an explicit interpolation matrix give
@@ -331,34 +348,28 @@ def test_refine_matches_the_direct_sum_objective(monkeypatch, params08):
     assert fast.params.m0 == pytest.approx(ref.params.m0, rel=1e-9, abs=0.0)
 
 
-def _counted_refine(monkeypatch, ccdf, params):
+def _counted_refine(monkeypatch, engine_passes, ccdf, params):
     """refine_temperature(ccdf, params) with its engine passes and normalize calls counted."""
-    counts = {"passes": 0, "normalize": 0}
-
-    def counted(name, f):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return f(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(model, "_ccdf_nodes", counted("passes", model._ccdf_nodes))
-    monkeypatch.setattr(estimate, "normalize", counted("normalize", estimate.normalize))
-    return refine_temperature(ccdf, params), counts
+    normalized, normalize = [], estimate.normalize
+    monkeypatch.setattr(estimate, "normalize", lambda law: normalized.append(law) or normalize(law))
+    del engine_passes[:]
+    refined = refine_temperature(ccdf, params)
+    return refined, {"passes": len(engine_passes), "normalize": len(normalized)}
 
 
-def test_refine_makes_at_most_40_engine_passes(monkeypatch, params08):
+def test_refine_makes_at_most_40_engine_passes(monkeypatch, engine_passes, params08):
     # criterion 6's draw, from the fit's own start: the segment values.
     # Nelder-Mead made about 90 passes here, one per evaluation
     ccdf = rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
     report = fit_full(ccdf, params08.m_init)
     start = normalize(replace(report.params, T=report.T_bg, T1=report.T_bg, m0=report.m0_hat))
-    refined, counts = _counted_refine(monkeypatch, ccdf, start)
+    refined, counts = _counted_refine(monkeypatch, engine_passes, ccdf, start)
     assert refined == report.params  # the refinement moved, to the fit's result
     assert counts["normalize"] == 1  # the returned point only
     assert counts["passes"] <= 40 + 1  # and normalize's own
 
 
-def test_refine_makes_one_engine_pass_per_point_it_scores(monkeypatch, params08):
+def test_refine_makes_one_engine_pass_per_point_it_scores(monkeypatch, engine_passes, params08):
     # criterion 6's draw, from the segment values: the pass that scores a
     # point also gives its J, so the start and each trial point cost one pass
     ccdf = rank_ccdf(sample_incomes(params08, 100_000, seed=4242))
@@ -372,7 +383,7 @@ def test_refine_makes_one_engine_pass_per_point_it_scores(monkeypatch, params08)
                 lambda x: grams.append(x.ndim) or gram(x), h)
 
     monkeypatch.setattr(estimate, "_log_ccdf_misfit", recorded)
-    refined, counts = _counted_refine(monkeypatch, ccdf, start)
+    refined, counts = _counted_refine(monkeypatch, engine_passes, ccdf, start)
     assert refined == report.params
     # a step takes G J once and G v at its iterate once, and a trial point's
     # score takes G (v_try - v) once
@@ -382,13 +393,13 @@ def test_refine_makes_one_engine_pass_per_point_it_scores(monkeypatch, params08)
     assert counts == {"passes": 1 + trials + 1, "normalize": 1}  # and normalize's own
 
 
-def test_refine_that_returns_its_input_never_normalizes(monkeypatch, params08):
+def test_refine_that_returns_its_input_never_normalizes(monkeypatch, engine_passes, params08):
     # a tail of (1e250 / m1)^-3 underflows on the grid at the start, so no
     # score is finite and the input comes back as it was
     light = normalize(replace(params08, alpha1=3.0))
     ccdf = EmpiricalCCDF(incomes=np.array([1e250, params08.m0, 2.0 * params08.m_init]),
                          p=np.array([1e-300, 0.5, 0.9]))
-    refined, counts = _counted_refine(monkeypatch, ccdf, light)
+    refined, counts = _counted_refine(monkeypatch, engine_passes, ccdf, light)
     assert refined is light
     assert counts == {"passes": 1, "normalize": 0}
 
@@ -432,43 +443,39 @@ def _preset_draws():
 
 
 def test_refine_is_not_moved_by_rounding_noise(monkeypatch):
-    # every tied pass's tails off by 4 eps relative: the fit may move only at
-    # rounding level.  A trial step whose decrease the misfit cannot resolve
-    # would be taken or refused by chance, and 5 of these fits moved by 1e-9
-    # to 2.7e-8 when such steps were tried
-    ripple, nodes = None, model._ccdf_nodes
+    # every derivative pass's tails off by 4 eps relative: the fit may move
+    # only at rounding level.  A trial step whose decrease the misfit cannot
+    # resolve would be taken or refused by chance, and 5 of these fits moved
+    # by 1e-9 to 2.7e-8 when such steps were tried
+    ripple, rippled_passes, nodes = None, [], model._ccdf_nodes
 
     def rippled(*args, **kwargs):
         out = nodes(*args, **kwargs)
-        if kwargs.get("tied") is None or ripple is None:
+        if not kwargs.get("jacobian") or ripple is None:
             return out
+        rippled_passes.append(out[0].size)
         return (out[0] * (1.0 + ripple * np.cos(np.arange(out[0].size))), *out[1:])
 
     monkeypatch.setattr(model, "_ccdf_nodes", rippled)
     for params, ccdf in _preset_draws():
         ripple = None
         plain = fit_full(ccdf, params.m_init).params
-        ripple = 4.0 * np.finfo(float).eps
+        ripple, rippled_passes[:] = 4.0 * np.finfo(float).eps, []
         moved = fit_full(ccdf, params.m_init).params
+        assert rippled_passes  # the fit's derivative passes were rippled
         assert moved.T == pytest.approx(plain.T, rel=1e-12, abs=0.0)
         assert moved.m0 == pytest.approx(plain.m0, rel=1e-12, abs=0.0)
 
 
-def test_fit_makes_at_most_6_5_tied_passes_on_average(monkeypatch):
-    # the misfit's passes per fit over the 22 draws: 7.59 when the refinement
-    # also tried the steps its decrease test cannot resolve
-    passes, nodes = [], model._ccdf_nodes
-
-    def counted(*args, **kwargs):
-        passes.append(kwargs.get("tied") is not None)
-        return nodes(*args, **kwargs)
-
-    monkeypatch.setattr(model, "_ccdf_nodes", counted)
+def test_fit_makes_at_most_6_5_tied_passes_on_average(engine_passes):
+    # the misfit's derivative passes (T1 = T) per fit over the 22 draws: 7.59
+    # when the refinement also tried the steps its decrease test cannot resolve
     fits = 0
     for params, ccdf in _preset_draws():
         fit_full(ccdf, params.m_init)
         fits += 1
-    assert fits == 22 and sum(passes) / fits <= 6.5
+    passes = sum(p.jacobian for p in engine_passes)
+    assert fits == 22 and 1 <= passes and passes / fits <= 6.5
 
 
 def test_fit_full_report_structure(params08):

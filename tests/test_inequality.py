@@ -37,18 +37,16 @@ def test_class_fractions_frozen(year, fixture, request):
 
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
-def test_class_fractions_take_one_pass(year, monkeypatch):
+def test_class_fractions_take_one_pass(year, engine_passes):
     # the one pass is the law's quantile ladder, which the median shares
     params = preset_params(year)
-    calls, nodes = [], model._ccdf_nodes
-    monkeypatch.setattr(model, "_ccdf_nodes", lambda *args, **kw: calls.append(args[1]) or nodes(*args, **kw))
+    del engine_passes[:]
     f_low, f_med, f_high = class_fractions(params)
-    assert len(calls) == 1 and np.array_equal(calls[0], params._ladder[0])
-    del calls[:]
+    assert len(engine_passes) == 1 and np.array_equal(engine_passes[0].ms, params._ladder[0])
+    del engine_passes[:]
     assert class_fractions(params) == (f_low, f_med, f_high)
     assert population_ratios(params) == (f_low / f_med, f_med / f_high)
-    assert calls == []  # read off the kept ladder: no engine pass
-    monkeypatch.undo()
+    assert engine_passes == []  # read off the kept ladder: no engine pass
     three, _ = model._ccdf_nodes(params, [params.m_init, params.m0, params.m1], params.c_lo, params.c_hi)
     want = (100.0 * (three[0] - three[1]), 100.0 * (three[1] - three[2]), 100.0 * three[2])
     assert (f_low, f_med, f_high) == pytest.approx(want, rel=0.0, abs=1e-12)

@@ -467,64 +467,52 @@ def test_quantile_is_within_1e9_of_brent_property(params, q):
     assert abs(m - ref) <= 1e-9 * ref + 1e-14 / pdf_eval(params, m)
 
 
-def _spy_on_engine(monkeypatch):
-    """Record (ms, closed) for every _ccdf_nodes pass, forwarding every argument."""
-    calls = []
-
-    def spy(params, ms, *args, **kwargs):
-        calls.append((np.asarray(ms, dtype=float).copy(), kwargs.get("closed", True)))
-        return _ccdf_nodes(params, ms, *args, **kwargs)
-
-    monkeypatch.setattr(model, "_ccdf_nodes", spy)
-    return calls
-
-
 @pytest.mark.parametrize("year", ["2008", "2006"])
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99, 0.9999])  # the last lies above m1
-def test_quantile_takes_at_most_five_passes(year, q, monkeypatch):
+def test_quantile_takes_at_most_five_passes(year, q, engine_passes):
     params = preset_params(year)
-    calls = _spy_on_engine(monkeypatch)
+    del engine_passes[:]
     m = quantile(params, q)
-    assert 1 <= len(calls) <= 5
+    assert 1 <= len(engine_passes) <= 5
     assert m == pytest.approx(_brent_quantile(params, q), rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
-def test_quantiles_of_one_law_share_one_ladder_pass(year, monkeypatch):
+def test_quantiles_of_one_law_share_one_ladder_pass(year, engine_passes):
     params = normalize(ModelParams(**PRESETS[year]))
-    calls = _spy_on_engine(monkeypatch)
+    del engine_passes[:]
     first = quantile(params, 0.5)
-    ladder = [ms for ms, closed in calls if closed]
+    ladder = [p.ms for p in engine_passes if p.closed]
     assert len(ladder) == 1 and ladder[0].size > 2
-    del calls[:]
+    del engine_passes[:]
     for q in (0.1, 0.9, 0.99, 0.9999):
         quantile(params, q)
-    assert calls and all(not closed for _, closed in calls)  # no second ladder
+    assert engine_passes and all(not p.closed for p in engine_passes)  # no second ladder
     assert quantile(params, 0.5) == first
 
 
 @pytest.mark.parametrize("year", ["2008", "2006"])
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
-def test_quantile_takes_one_interval_pass_after_the_ladder(year, q, monkeypatch):
+def test_quantile_takes_one_interval_pass_after_the_ladder(year, q, engine_passes):
     # the Hermite start lies within ~1e-5 of the root, so the first Newton
     # step certifies; a log-log start between the same rungs takes 2 to 4
     params = preset_params(year)
     params._ladder
-    calls = _spy_on_engine(monkeypatch)
+    del engine_passes[:]
     m = quantile(params, q)
-    assert len(calls) == 1 and calls[0][0].size == 2 and not calls[0][1]
+    assert len(engine_passes) == 1 and engine_passes[0].ms.size == 2 and not engine_passes[0].closed
     assert m == pytest.approx(_brent_quantile(params, q), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("q", [1e-6, 0.1, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-9])
-def test_newton_steps_integrate_no_closing_interval(params08, q, monkeypatch):
+def test_newton_steps_integrate_no_closing_interval(params08, q, engine_passes):
     # alpha1 = 0.2: the last two levels lie past the ladder, in the decades pass
     for params in (params08, _with_alpha1(params08, 0.2)):
-        params._ladder  # derived before the spy: every pass it sees is the quantile's own
-        calls = _spy_on_engine(monkeypatch)
+        params._ladder  # derived before the count: every pass it sees is the quantile's own
+        del engine_passes[:]
         m = quantile(params, q)
-        brackets = [ms for ms, closed in calls if closed]
-        steps = [ms for ms, closed in calls if not closed]
+        brackets = [p.ms for p in engine_passes if p.closed]
+        steps = [p.ms for p in engine_passes if not p.closed]
         assert steps and len(brackets) <= 1
         for ms in brackets:  # only the decades above the ladder run to infinity
             assert ms.size > 2 and ms[0] > params._ladder[0][-1]
@@ -984,10 +972,9 @@ def _misfit_pair(params, ms, log_p):
 
 
 def _in_box(params, t, f):
-    """params with T (and a tied T1) scaled by t and m0 by f, or m0 = m1 for f None."""
+    """params with T = T1 scaled by t and m0 by f, or m0 = m1 for f None."""
     T = params.T * t
-    return normalize(replace(params, T=T, T1=T if params.T1 == params.T else params.T1,
-                             m0=params.m1 if f is None else params.m0 * f))
+    return normalize(replace(params, T=T, T1=T, m0=params.m1 if f is None else params.m0 * f))
 
 
 @pytest.fixture(scope="module")
@@ -1040,28 +1027,15 @@ def test_log_ccdf_misfit_with_incomes_on_grid_nodes(params08):
     assert fast(params08) > 1.0  # the noise is seen, not only the rounding floor
 
 
-@pytest.mark.parametrize("order", ["increasing", "shuffled"])
-def test_log_ccdf_misfit_needs_the_incomes_richest_first(params08, order):
-    # the nodes' counts of incomes index the sorted incomes: any other order
-    # is refused, where the counts would put incomes on the wrong nodes
-    ms = np.sort(sample_incomes(params08, 1000, seed=3))[::-1]
-    _log_ccdf_misfit(ms, np.zeros(ms.size), params08.m_init, params08.m1)
-    ms = ms[::-1] if order == "increasing" else np.random.default_rng(3).permutation(ms)
-    with pytest.raises(ValueError, match="non-increasing"):
-        _log_ccdf_misfit(ms, np.zeros(ms.size), params08.m_init, params08.m1)
-
-
 def _difference_jacobian(log_ccdf, params, h=1e-5):
     """dv/d(ln T, ln m0) of v = log_ccdf(params) by central differences of width h.
 
-    T1 moves with T where they are equal.  Where m0 e^h would pass m1 the ln m0
-    column is the second-order backward difference (3 v(0) - 4 v(-h) + v(-2h)) / 2h.
+    T1 moves with T.  Where m0 e^h would pass m1 the ln m0 column is the
+    second-order backward difference (3 v(0) - 4 v(-h) + v(-2h)) / 2h.
     """
-    tied = params.T1 == params.T
-
     def at(d_ln_T, d_ln_m0):
         T = params.T * math.exp(d_ln_T)
-        return log_ccdf(replace(params, T=T, T1=T if tied else params.T1, m0=params.m0 * math.exp(d_ln_m0)))
+        return log_ccdf(replace(params, T=T, T1=T, m0=params.m0 * math.exp(d_ln_m0)))
 
     d_T = (at(h, 0.0) - at(-h, 0.0)) / (2.0 * h)
     if params.m0 * math.exp(h) <= params.m1:
@@ -1085,13 +1059,12 @@ def _jacobian_error(law, ms):
 _JACOBIAN_ATOL = 1e-8
 
 
-@pytest.mark.parametrize("case", ["tied", "untied", "heavy", "heavy untied", "m0 = m1"])
+@pytest.mark.parametrize("case", ["tied", "heavy", "m0 = m1"])
 @pytest.mark.parametrize("year", ["2008", "2006"])
 def test_log_ccdf_misfit_jacobian_matches_differences(year, case):
     # the refinement's J = dv/d(ln T, ln m0) comes from the pass that scores v
     params = preset_params(year)
-    law = {"tied": params, "untied": replace(params, T1=1.3 * params.T),
-           "heavy": replace(params, alpha1=0.6), "heavy untied": replace(params, alpha1=0.6, T1=0.7 * params.T),
+    law = {"tied": params, "heavy": replace(params, alpha1=0.6),
            "m0 = m1": replace(params, m0=params.m1)}[case]  # m0 = m1: a backward difference
     err, size = _jacobian_error(law, sample_incomes(params, 10_000, seed=1))
     assert size > 1.0
@@ -1099,12 +1072,12 @@ def test_log_ccdf_misfit_jacobian_matches_differences(year, case):
 
 
 @settings(max_examples=20)
-@given(st.sampled_from(["2008", "2006"]), st.booleans(), st.floats(1.0, 1.5), st.floats(0.0, 1.0))
-def test_log_ccdf_misfit_jacobian_matches_differences_across_the_box(year, tied, t, f):
-    # the fit's box: T in [T_bg, 1.5 T_bg], m0 in (m_init, m1], here from 1.01 m_init
+@given(st.sampled_from(["2008", "2006"]), st.floats(1.0, 1.5), st.floats(0.0, 1.0))
+def test_log_ccdf_misfit_jacobian_matches_differences_across_the_box(year, t, f):
+    # the fit's box: T = T1 in [T_bg, 1.5 T_bg], m0 in (m_init, m1], here from 1.01 m_init
     params = preset_params(year)
     m0 = 1.01 * params.m_init * (params.m1 / (1.01 * params.m_init)) ** f
-    law = replace(params, T=t * params.T, T1=t * params.T if tied else params.T, m0=m0)
+    law = replace(params, T=t * params.T, T1=t * params.T, m0=m0)
     err, _ = _jacobian_error(law, sample_incomes(params, 2_000, seed=2))
     assert err <= _JACOBIAN_ATOL
 

@@ -4,6 +4,7 @@ Each analysis script runs end to end at small sizes (its numbers are not
 checked), and the pure helpers of bench_pairs.py are fed canned runs.
 """
 
+import json
 import pathlib
 import runpy
 import sys
@@ -136,3 +137,56 @@ def test_claim_does_not_hold_when_too_few_runs_finished(bench_pairs):
     entry = bench_pairs["compare"](results, [metric], [1, 2])
     assert entry["m"]["before"] == {"median": 1.0, "q1": None, "q3": None, "runs": [1.0]}
     assert bench_pairs["claim_holds"](entry, metric)["holds"] is False
+
+
+_LOWER = {"name": "m", "better": "lower", "bound": 0.25}
+_HIGHER = {"name": "m", "better": "higher", "bound": 0.25}
+
+
+@pytest.mark.parametrize("metric, before, after, want", [
+    # the parent's median 1.0 and quartile spread 0 (binary fractions: no rounding)
+    (_LOWER, [1.0] * 5, [1.5] * 5, "worse"),
+    (_LOWER, [1.0] * 5, [1.25] * 5, "within"),  # worse by the bound exactly
+    (_LOWER, [1.0] * 5, [0.75] * 5, "better"),
+    (_HIGHER, [1.0] * 5, [0.5] * 5, "worse"),
+    (_HIGHER, [1.0] * 5, [1.5] * 5, "better"),
+    (_LOWER, [1.0] * 5, [1.0] * 5, "within"),
+    # quartiles 0.75 and 1.25: a spread of 0.5, past the bound of 0.25
+    (_LOWER, [0.5, 1.0, 1.0, 1.0, 1.5], [0.875, 1.0, 1.125, 1.0, 1.0], "unresolved"),
+    (_LOWER, [0.5, 1.0, 1.0, 1.0, 1.5], [1.5] * 5, "worse"),
+    (_LOWER, [0.5, 1.0, 1.0, 1.0, 1.5], [0.375] * 5, "better"),  # every change run beats every parent run
+    (_LOWER, [0.75, 1.0, 1.0, 1.0, 1.5], [0.625, 0.5, 0.625, 0.625, 0.625], "within"),  # a gain of 0.375, not past the spread
+    (_LOWER, [1.0], [0.5, 0.5], "unresolved"),  # no spread from one run
+    (_LOWER, [1.0, 1.0], [], "unresolved"),
+    ({"name": "m", "better": "lower"}, [1.0] * 5, [9.0] * 5, None),  # no bound, no verdict
+])
+def test_verdict_at_the_bound_and_the_parent_spread(bench_pairs, metric, before, after, want):
+    assert bench_pairs["verdict"](before, after, metric) == want
+
+
+def test_compare_states_a_verdict_for_every_benchmark_metric(bench_pairs):
+    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    parent = {m["name"]: 1.0 for m in metrics}
+    results = {"parent": [_run(parent) for _ in range(4)],
+               "change": [_run({name: 4.0 for name in parent}) for _ in range(4)]}
+    entry = bench_pairs["compare"](results, metrics, [1, 2, 3, 4])
+    for m in metrics:
+        assert m["bound"] > 0.0
+        assert entry[m["name"]]["verdict"] == ("worse" if m["better"] == "lower" else "better")
+
+
+def test_compare_reports_each_sides_failed_share_and_whether_it_rose(bench_pairs):
+    metric = {"name": "m", "better": "lower", "bound": 0.25}
+    failed = {"error": {"exit_code": 1, "stderr_tail": ""}}
+    results = {"parent": [_run({"m": 1.0}, failed=1), _run({"m": 1.0}), _run({"m": 1.0})],
+               "change": [_run({"m": 1.0}, failed=2), _run({"m": 1.0}), failed]}
+    entry = bench_pairs["compare"](results, [metric], [1, 2, 3])
+    assert entry["failed_share"] == {"parent": 1 / 30, "change": 2 / 20}
+    assert entry["failed_share_rose"] is True
+    results["change"] = [_run({"m": 1.0}) for _ in range(3)]
+    entry = bench_pairs["compare"](results, [metric], [1, 2, 3])
+    assert entry["failed_share"] == {"parent": 1 / 30, "change": 0.0}
+    assert entry["failed_share_rose"] is False
+    results["change"] = [failed] * 3  # no operation finished: no share to compare
+    entry = bench_pairs["compare"](results, [metric], [1, 2, 3])
+    assert entry["failed_share"]["change"] is None and entry["failed_share_rose"] is None
